@@ -12,7 +12,6 @@ package frontiersim
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -632,132 +631,6 @@ func BenchmarkRunAllSerial(b *testing.B) { benchRunAll(b, 1) }
 // (expensive experiments dispatch first); the CI bench job records both
 // trajectories per commit.
 func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0) }
-
-// benchShardStorm is one compute group's share of the sharded storm:
-// the kick runs on the owning LP, draws identical pairs every iteration
-// from the LP's stream, and sends into the dragonfly.
-type benchShardStorm struct {
-	tr       *network.ShardedTransport
-	lp       *sim.LP
-	sources  []int
-	targets  int
-	messages int
-}
-
-func benchShardStormKick(arg any) {
-	s := arg.(*benchShardStorm)
-	r := s.lp.Stream("bench-storm")
-	for i := 0; i < s.messages; i++ {
-		src := s.sources[r.Intn(len(s.sources))]
-		dst := r.Intn(s.targets)
-		for dst == src {
-			dst = r.Intn(s.targets)
-		}
-		if err := s.tr.Send(src, dst, 256*units.KiB, nil); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// BenchmarkTransportStormSharded is the parallel counterpart of
-// BenchmarkTransportStorm: the same full-Frontier message storm on the
-// sharded kernel at 1/2/4/8 worker shards. The ISSUE's ≥3x events/sec
-// target at 8 shards is measured against the shards=1 sub-benchmark
-// (identical algorithm, one worker) on a multi-core runner.
-func BenchmarkTransportStormSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			f, err := machine.Frontier().NewFabric()
-			if err != nil {
-				b.Fatal(err)
-			}
-			sk := sim.NewSharded(1, f, shards)
-			tr := network.NewShardedTransport(sk, f)
-			tr.WarmLinks()
-			var kicks []*benchShardStorm
-			for g := 0; g < sk.NumLPs(); g++ {
-				if f.GroupClassOf(g) != fabric.ComputeGroup {
-					continue
-				}
-				var sources []int
-				for _, sw := range f.GroupSwitches(g) {
-					for e := 0; e < f.Cfg.EndpointsPerSwitch; e++ {
-						sources = append(sources, sw*f.Cfg.EndpointsPerSwitch+e)
-					}
-				}
-				kicks = append(kicks, &benchShardStorm{
-					tr: tr, lp: sk.LP(g), sources: sources,
-					targets: f.Cfg.ComputeEndpoints(), messages: 56, // ~4096 in flight across 74 groups
-				})
-			}
-			// Each iteration is one virtual-second epoch ended by RunUntil,
-			// which re-synchronizes every LP clock: a kick at the epoch
-			// start then can never post into another LP's past.
-			epoch := units.Seconds(0)
-			storm := func() {
-				for _, s := range kicks {
-					s.lp.K.AtCall(epoch, benchShardStormKick, s)
-				}
-				epoch += 1
-				sk.RunUntil(epoch)
-			}
-			storm() // warm pools, path buffers, link resources
-			start := sk.Executed()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				storm()
-			}
-			b.StopTimer()
-			events := float64(sk.Executed() - start)
-			b.ReportMetric(events/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
-}
-
-// BenchmarkResiliencyYearSharded injects the same year of Monte-Carlo
-// failures as BenchmarkResiliencyYear, with the component populations
-// split across per-group LPs. Failure injection has no cross-LP events,
-// so a single lookahead window covers the year and speedup approaches
-// the shard count on a multi-core runner.
-func BenchmarkResiliencyYearSharded(b *testing.B) {
-	m, err := machine.Frontier().ResilienceModel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := machine.Frontier().NewFabric()
-	if err != nil {
-		b.Fatal(err)
-	}
-	lps := f.NumLPs()
-	const year = 365 * units.Day
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var events uint64
-			interrupts := make([]int, lps)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sk := sim.NewSharded(int64(i), sim.StaticPartition{LPs: lps, Bound: year}, shards)
-				m.InjectSharded(sk, year, func(lp int, fl resilience.Failure) {
-					if fl.Interrupting {
-						interrupts[lp]++
-					}
-				})
-				sk.RunUntil(year)
-				events += sk.Executed()
-			}
-			b.StopTimer()
-			total := 0
-			for _, c := range interrupts {
-				total += c
-			}
-			if total == 0 {
-				b.Fatal("a year on Frontier with no interrupts")
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
-}
 
 // BenchmarkLLMTrainStep prices one LLM training step on a concrete
 // placement: the Bind hot path every phase-structured submission pays

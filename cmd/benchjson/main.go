@@ -53,8 +53,8 @@ type Benchmark struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// EventsPerSec promotes the kernel benchmarks' "events/sec"
 	// ReportMetric to a first-class column: it is the throughput number
-	// the sharded-kernel speedup targets are stated in, and scripts
-	// shouldn't have to dig through Metrics for it. The raw entry stays
+	// kernel performance targets are stated in, and scripts shouldn't
+	// have to dig through Metrics for it. The raw entry stays
 	// in Metrics too, so older tooling keeps working.
 	EventsPerSec float64            `json:"events_per_sec,omitempty"`
 	Metrics      map[string]float64 `json:"metrics,omitempty"`

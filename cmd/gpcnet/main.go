@@ -36,13 +36,9 @@ func run() int {
 	jobs := flag.Int("jobs", 0, "concurrent trial workers (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	mutexprofile := flag.String("mutexprofile", "", "write a contended-mutex profile to this file on exit")
-	blockprofile := flag.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
 	flag.Parse()
 
-	stopProf, err := profiling.StartConfig(profiling.Config{
-		CPU: *cpuprofile, Mem: *memprofile, Mutex: *mutexprofile, Block: *blockprofile,
-	})
+	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpcnet:", err)
 		return 1

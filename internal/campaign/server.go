@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -25,8 +26,12 @@ import (
 	"frontiersim/internal/harness"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/network"
-	"frontiersim/internal/sim"
 )
+
+// maxRequestBytes bounds every POST body. The full Frontier spec is about
+// 4 KB of JSON, so 1 MiB leaves ample room for inline what-if specs while
+// keeping a client from streaming an unbounded body into the decoder.
+const maxRequestBytes = 1 << 20
 
 // Config sizes a server.
 type Config struct {
@@ -41,13 +46,6 @@ type Config struct {
 	CodeVersion string
 	// MaxSweepVariants caps one sweep's fan-out (<=0 means 256).
 	MaxSweepVariants int
-	// Shards is the worker count for sharded-kernel experiments inside
-	// each simulation (0 or 1 = one worker). The sharded kernel's
-	// determinism contract makes results byte-identical at any value, so
-	// Shards is a host-sizing knob like Jobs — it deliberately does NOT
-	// enter the cache key, and cached results are shared between servers
-	// configured with different shard counts.
-	Shards int
 	// SolutionCacheBytes bounds the shared max-min solver solution cache
 	// threaded through every simulation this server runs (<=0 means the
 	// network package's 256 MiB default). Unlike the result cache, which
@@ -60,8 +58,8 @@ type Config struct {
 	// cache the campaign experiments attach to their job environment:
 	// 0 = unbounded (the default), > 0 caps the LRU, < 0 disables it.
 	// Cache hits reproduce cold pricing bit-for-bit, so every campaign
-	// statistic is identical at any setting and — like Shards — the knob
-	// stays out of the result-cache key. The one informational surface it
+	// statistic is identical at any setting and the knob stays out of
+	// the result-cache key. The one informational surface it
 	// can move is the reported hit-rate row (a bounded LRU may evict and
 	// re-miss), so servers sharing a persistent cache directory should
 	// agree on this setting.
@@ -76,7 +74,6 @@ type Server struct {
 	jobs      *jobStore
 	version   string
 	maxVars   int
-	shards    int
 	pricing   int
 	started   time.Time
 }
@@ -102,7 +99,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:      newJobStore(),
 		version:   version,
 		maxVars:   maxVars,
-		shards:    cfg.Shards,
 		pricing:   cfg.PricingEntries,
 		started:   time.Now(),
 	}, nil
@@ -161,15 +157,12 @@ type resolved struct {
 	exp      string
 	quick    bool
 	markdown bool
-	// shards is the server's kernel-worker setting, carried along for
-	// options() but excluded from key: shard count never changes result
-	// bytes, so including it would only fragment the cache. solutions is
-	// the server-wide solver cache, excluded for the same reason — a hit
-	// applies bit-exact stored allocations.
-	shards    int
+	// solutions is the server-wide solver cache, carried along for
+	// options() but excluded from key: a hit applies bit-exact stored
+	// allocations, so including it would only fragment the cache.
 	solutions *network.SolutionCache
 	// pricing is the server's pricing-cache sizing, excluded from key for
-	// the same reason as shards: hits are bit-identical, results never
+	// the same reason as solutions: hits are bit-identical, results never
 	// depend on it.
 	pricing int
 	key     cache.Key
@@ -215,7 +208,6 @@ func (s *Server) resolve(req JobRequest) (resolved, error) {
 	}
 	r.quick = req.Quick
 	r.markdown = req.Markdown
-	r.shards = s.shards
 	r.solutions = s.solutions
 	r.pricing = s.pricing
 	r.key = cache.ResultKey(cache.KeyInputs{
@@ -233,7 +225,7 @@ func (s *Server) resolve(req JobRequest) (resolved, error) {
 func (r resolved) options() experiments.Options {
 	spec := r.spec
 	return experiments.Options{Quick: r.quick, Seed: r.seed, Machine: &spec,
-		Shards: r.shards, Solutions: r.solutions, PricingEntries: r.pricing}
+		Solutions: r.solutions, PricingEntries: r.pricing}
 }
 
 // runCached is the one compute path every endpoint shares: at most one
@@ -312,24 +304,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		counts[j.handle.State()]++
 	}
-	shards := s.shards
-	if shards < 1 {
-		shards = 1
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cache":     s.cache.Stats(),
 		"jobs":      counts,
 		"jobsTotal": len(jobs),
 		"workers":   s.pool.Workers(),
-		// Per-shard executed-event counters from the sharded kernel,
-		// accumulated process-wide across every simulation this server
-		// has run (flushed at window barriers, so they may trail a run in
-		// flight). An even spread means the group-to-shard assignment is
-		// balancing work; a lopsided one means a few LPs dominate.
-		"sharding": map[string]any{
-			"shards":         shards,
-			"executedEvents": sim.ShardedExecuted(),
-		},
 		// The solver solution cache shared across every simulation: hits
 		// here are individual max-min solves served from stored
 		// allocations (sweep variants and repeated what-ifs sharing a
@@ -346,8 +325,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // X-Result-Key the content address.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	res, err := s.resolve(req)
@@ -368,8 +346,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	res, err := s.resolve(req)
@@ -478,8 +455,7 @@ type SweepVariant struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	var sw Sweep
@@ -602,13 +578,24 @@ func contentType(markdown bool) string {
 	return "text/plain; charset=utf-8"
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeJSON strictly decodes a request body of at most maxRequestBytes
+// into v. On failure it writes the error response itself — 413 for an
+// oversized body, 400 otherwise — and reports false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("request body: %w", err)
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("request body: %w", err))
 	}
-	return nil
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

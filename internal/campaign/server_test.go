@@ -389,79 +389,31 @@ func TestConcurrentIdenticalRuns(t *testing.T) {
 	}
 }
 
-// TestStatsReportsSharding pins the /v1/stats "sharding" section: the
-// configured shard count plus the process-wide per-shard executed-event
-// counters, which go live once a sharded-kernel experiment has run.
-func TestStatsReportsSharding(t *testing.T) {
-	srv, err := New(Config{Jobs: 2, CodeVersion: "test", Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+// TestOversizedBodyRejected posts a body one byte over maxRequestBytes
+// to every POST endpoint and expects 413 with a descriptive error; a body
+// exactly at the limit still reaches the decoder (and fails validation
+// with 400, since its experiment id is padding).
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := func(size int) string {
+		const head, tail = `{"experiment":"`, `"}`
+		return head + strings.Repeat("x", size-len(head)-len(tail)) + tail
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	resp := post(t, ts.URL+"/v1/run", `{"experiment":"ext-sharded","seed":42,"quick":true}`)
-	body := readAll(t, resp.Body)
+	for _, path := range []string{"/v1/run", "/v1/jobs", "/v1/sweep"} {
+		resp := post(t, ts.URL+path, body(maxRequestBytes+1))
+		b := readAll(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body got %d %s, want 413", path, resp.StatusCode, b)
+		}
+		if !strings.Contains(string(b), fmt.Sprintf("exceeds the %d-byte limit", maxRequestBytes)) {
+			t.Errorf("%s: oversized body error not descriptive: %s", path, b)
+		}
+	}
+	resp := post(t, ts.URL+"/v1/run", body(maxRequestBytes))
+	b := readAll(t, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ext-sharded run: %d %s", resp.StatusCode, body)
-	}
-
-	stats, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Sharding struct {
-			Shards         int      `json:"shards"`
-			ExecutedEvents []uint64 `json:"executedEvents"`
-		} `json:"sharding"`
-	}
-	if err := json.NewDecoder(stats.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	stats.Body.Close()
-	if got.Sharding.Shards != 4 {
-		t.Errorf("sharding.shards = %d, want 4", got.Sharding.Shards)
-	}
-	var total uint64
-	for _, n := range got.Sharding.ExecutedEvents {
-		total += n
-	}
-	if total == 0 {
-		t.Errorf("sharding.executedEvents all zero after a sharded run: %v", got.Sharding.ExecutedEvents)
-	}
-}
-
-// TestShardsExcludedFromCacheKey pins the cache-sharing contract:
-// servers configured with different shard counts derive the same result
-// key for the same request (results are shard-invariant, so a shard-
-// dependent key would only fragment the cache) and serve byte-identical
-// bodies.
-func TestShardsExcludedFromCacheKey(t *testing.T) {
-	req := JobRequest{Experiment: "ext-sharded", Quick: true}
-	var keys []string
-	var bodies [][]byte
-	for _, shards := range []int{1, 8} {
-		srv, err := New(Config{Jobs: 2, CodeVersion: "test", Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := srv.resolve(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, string(res.key))
-		b, _, err := srv.runCached(res, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodies = append(bodies, b)
-	}
-	if keys[0] != keys[1] {
-		t.Errorf("cache keys differ across shard configs: %s vs %s", keys[0], keys[1])
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Errorf("result bodies differ between shards=1 and shards=8 servers")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("body at the limit got %d %s, want 400", resp.StatusCode, b)
 	}
 }

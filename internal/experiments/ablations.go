@@ -106,7 +106,7 @@ func AblationCC(o Options) (*report.Table, error) {
 	}
 	t := &report.Table{ID: "ablation-cc", Title: "GPCNeT with congestion control on vs off"}
 	for _, cc := range []bool{true, false} {
-		cfg := network.DefaultGPCNeTConfig()
+		cfg := gpcnetConfig(f)
 		cfg.CongestionControl = cc
 		if o.Quick {
 			cfg.LatencySamples = 600

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"testing"
+
+	"frontiersim/internal/machine"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 42} }
@@ -38,6 +40,24 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Error("empty render")
 			}
 		})
+	}
+}
+
+// The GPCNeT experiments run the paper's 9,400-node benchmark; on a
+// machine with fewer compute nodes they must clamp to what exists rather
+// than fail.
+func TestGPCNeTExperimentsOnSmallMachine(t *testing.T) {
+	spec := machine.Scaled(6, 8, 4)
+	o := quickOpts()
+	o.Machine = &spec
+	for _, id := range []string{"table5", "ablation-cc", "ablation-ppn"} {
+		r, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(o); err != nil {
+			t.Errorf("%s on %s: %v", id, spec.Name, err)
+		}
 	}
 }
 

@@ -27,10 +27,7 @@ func AblationPPN(o Options) (*report.Table, error) {
 	}
 	t := &report.Table{ID: "ablation-ppn", Title: "GPCNeT at 8 vs 32 processes per node"}
 	for _, ppn := range []int{8, 32} {
-		cfg := network.DefaultGPCNeTConfig()
-		if n := f.Cfg.ComputeNodes(); cfg.Nodes > n {
-			cfg.Nodes = n
-		}
+		cfg := gpcnetConfig(f)
 		cfg.PPN = ppn
 		if o.Quick {
 			cfg.LatencySamples = 600

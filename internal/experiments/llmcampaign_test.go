@@ -19,27 +19,6 @@ func renderOne(t *testing.T, run func(Options) (*report.Table, error), o Options
 	return b.String()
 }
 
-// The phase-structured experiments obey the same contract as every
-// other: Shards is a speed knob, never a result input — the rendered
-// tables are byte-identical at any shard count.
-func TestLLMCampaignShardInvariance(t *testing.T) {
-	for _, exp := range []struct {
-		name string
-		run  func(Options) (*report.Table, error)
-	}{
-		{"ext-llm", ExtLLM},
-		{"ext-campaign", ExtCampaign},
-	} {
-		ref := renderOne(t, exp.run, Options{Quick: true, Seed: 42, Shards: 1})
-		for _, shards := range []int{2, 8} {
-			if got := renderOne(t, exp.run, Options{Quick: true, Seed: 42, Shards: shards}); got != ref {
-				t.Errorf("%s diverges at shards=%d:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
-					exp.name, shards, ref, shards, got)
-			}
-		}
-	}
-}
-
 // ext-llm must actually report token throughput scaling, and ext-campaign
 // the delivered-vs-requested and lost-work accounting the job layer adds.
 func TestLLMCampaignTablesReport(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"frontiersim/internal/rng"
 
+	"frontiersim/internal/fabric"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/network"
 	"frontiersim/internal/report"
@@ -59,6 +60,17 @@ func Fig6(o Options) (*report.Table, error) {
 	return t, nil
 }
 
+// gpcnetConfig is the paper's 9,400-node GPCNeT run clamped to f's
+// compute nodes, so variant machines smaller than that (scaled specs,
+// sweep variants) run GPCNeT on every node instead of failing.
+func gpcnetConfig(f *fabric.Fabric) network.GPCNeTConfig {
+	cfg := network.DefaultGPCNeTConfig()
+	if n := f.Cfg.ComputeNodes(); cfg.Nodes > n {
+		cfg.Nodes = n
+	}
+	return cfg
+}
+
 // Table5 reproduces GPCNeT at 9,400 nodes and 8 PPN with congestion
 // control enabled.
 func Table5(o Options) (*report.Table, error) {
@@ -66,10 +78,7 @@ func Table5(o Options) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := network.DefaultGPCNeTConfig()
-	if n := f.Cfg.ComputeNodes(); cfg.Nodes > n {
-		cfg.Nodes = n // variant machines smaller than the 9,400-node run
-	}
+	cfg := gpcnetConfig(f)
 	if o.Quick {
 		cfg.LatencySamples = 800
 	}
