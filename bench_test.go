@@ -19,6 +19,7 @@ import (
 	"frontiersim/internal/experiments"
 	"frontiersim/internal/fabric"
 	"frontiersim/internal/gpu"
+	"frontiersim/internal/job"
 	"frontiersim/internal/llm"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/memory"
@@ -28,6 +29,7 @@ import (
 	"frontiersim/internal/scheduler"
 	"frontiersim/internal/sim"
 	"frontiersim/internal/units"
+	"frontiersim/internal/workload"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -576,6 +578,112 @@ func BenchmarkSchedulerCycle(b *testing.B) {
 		}
 		k.Run()
 	}
+}
+
+// BenchmarkSchedulerPlace measures one placement decision on the full
+// 9,472-node Frontier machine, half occupied by a fixed mix of earlier
+// jobs so group free counts are uneven: a 64-node job packs into one
+// group, a 4,096-node job spreads across every group with free nodes.
+// Place is read-only, so every iteration decides on the same state.
+func BenchmarkSchedulerPlace(b *testing.B) {
+	f, err := machine.Frontier().NewFabric()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := scheduler.New(sim.NewKernel(1), f)
+	rng := rand.New(rand.NewSource(1))
+	for s.FreeNodes() > f.Cfg.ComputeNodes()/2 {
+		if _, err := s.Submit("fill", 1+rng.Intn(300), units.Hour, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		nodes int
+	}{{"pack", 64}, {"spread", 4096}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s.Place(c.nodes) == nil {
+					b.Fatalf("%d-node job does not fit", c.nodes)
+				}
+			}
+		})
+	}
+}
+
+// benchYearEnv is the full-Frontier job env with a capability-class
+// program from the year-campaign mix (GESTS, pencil sub-communicators)
+// at 2,048 nodes, on a 2,048-node spread placement.
+func benchYearEnv(b *testing.B) (*job.Env, *job.Program, []int) {
+	b.Helper()
+	spec := machine.Frontier()
+	f, err := spec.NewFabric()
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := spec.JobEnv(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	platform, err := machine.PlatformByName(spec.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range workload.YearMix(platform, spec.NodeModel()) {
+		if c.Name == "capability" {
+			prog, err := c.ProgramFor(2048, 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return env, prog, env.SpreadPlacement(prog.Nodes)
+		}
+	}
+	b.Fatal("year mix has no capability class")
+	return nil, nil, nil
+}
+
+// BenchmarkPlacementSignature measures the pricing-cache key of a
+// 2,048-node spread placement, which every Bind with a cache computes.
+func BenchmarkPlacementSignature(b *testing.B) {
+	env, _, nodes := benchYearEnv(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := env.PlacementSignature(nodes); !ok {
+			b.Fatal("signature rejected the placement")
+		}
+	}
+}
+
+// BenchmarkBind measures Env.Bind on the year-campaign pricing path:
+// hit serves a warm pricing cache; miss starts each bind with an empty
+// cache, so it pays the signature, communicator construction, the
+// sub-communicator splits, every phase's pricing and the store.
+func BenchmarkBind(b *testing.B) {
+	env, prog, nodes := benchYearEnv(b)
+	b.Run("hit", func(b *testing.B) {
+		env.Cache = job.NewPricingCache(0)
+		if _, err := env.Bind(prog, nodes); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := env.Bind(prog, nodes); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			env.Cache = job.NewPricingCache(0)
+			if _, err := env.Bind(prog, nodes); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkStreamModel(b *testing.B) {

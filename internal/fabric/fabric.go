@@ -352,6 +352,23 @@ func (f *Fabric) NodeEndpoint(n, i int) int {
 	return n*f.Cfg.NICsPerNode + i%f.Cfg.NICsPerNode
 }
 
+// GroupsSpanned counts the distinct groups hosting the given compute
+// nodes, each node counted by the group of its first NIC. Every node
+// must be in range. The seen-set is a dense bitmap over group ids, so
+// the count costs one small allocation however many nodes it reads.
+func (f *Fabric) GroupsSpanned(nodes []int) int {
+	seen := make([]uint64, (f.numGroups+63)/64)
+	count := 0
+	for _, n := range nodes {
+		g := f.EndpointGroup(f.NodeEndpoint(n, 0))
+		if bit := uint64(1) << (g & 63); seen[g>>6]&bit == 0 {
+			seen[g>>6] |= bit
+			count++
+		}
+	}
+	return count
+}
+
 // GroupClassOf returns a group's class.
 func (f *Fabric) GroupClassOf(g int) GroupClass { return f.groupClass[g] }
 

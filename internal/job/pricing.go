@@ -92,8 +92,14 @@ func ProgramSignature(p *Program) Sig {
 // the node count. Placements that are isomorphic under group relabeling
 // share a signature; placements whose ranks interleave groups
 // differently (different comm-group layout) do not. ok is false when a
-// node is outside the machine — callers fall back to the uncached path
-// so Bind surfaces its canonical error.
+// node is outside the machine or listed twice — callers fall back to the
+// uncached path so Bind surfaces its canonical error.
+//
+// The sequence is hashed as run-length (label, count) pairs rather than
+// one word per node. Runs are maximal, so the encoding is injective on
+// the relabeled sequence and keys exactly the same equivalence classes,
+// while a packed or spread placement costs a handful of words instead
+// of thousands.
 func (e *Env) PlacementSignature(nodes []int) (Sig, bool) {
 	var s Sig
 	f := e.Fabric
@@ -102,6 +108,7 @@ func (e *Env) PlacementSignature(nodes []int) (Sig, bool) {
 	for i := range labels {
 		labels[i] = -1
 	}
+	seen := make([]uint64, (total+63)/64)
 	next := int32(0)
 	h := sha256.New()
 	var buf [1024]byte
@@ -115,10 +122,16 @@ func (e *Env) PlacementSignature(nodes []int) (Sig, bool) {
 		n += 4
 	}
 	put(uint32(len(nodes)))
+	run, count := int32(-1), uint32(0)
 	for _, node := range nodes {
 		if node < 0 || node >= total {
 			return s, false
 		}
+		bit := uint64(1) << (node & 63)
+		if seen[node>>6]&bit != 0 {
+			return s, false
+		}
+		seen[node>>6] |= bit
 		g := f.EndpointGroup(f.NodeEndpoint(node, 0))
 		if g < 0 || g >= len(labels) {
 			return s, false
@@ -127,7 +140,18 @@ func (e *Env) PlacementSignature(nodes []int) (Sig, bool) {
 			labels[g] = next
 			next++
 		}
-		put(uint32(labels[g]))
+		if labels[g] != run {
+			if count > 0 {
+				put(uint32(run))
+				put(count)
+			}
+			run, count = labels[g], 0
+		}
+		count++
+	}
+	if count > 0 {
+		put(uint32(run))
+		put(count)
 	}
 	h.Write(buf[:n])
 	h.Sum(s[:0])

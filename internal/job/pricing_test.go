@@ -1,6 +1,9 @@
 package job_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -116,6 +119,43 @@ func TestPlacementSignatureCanonicalization(t *testing.T) {
 	if _, ok := env.PlacementSignature([]int{0, 1 << 20}); ok {
 		t.Error("out-of-machine node accepted by the signature")
 	}
+	if _, ok := env.PlacementSignature([]int{0, 4, 0}); ok {
+		t.Error("repeated node accepted by the signature")
+	}
+
+	// The signature hashes run-length (label, count) pairs. Sequences
+	// that share runs' labels but not their lengths, or lengths but not
+	// labels, must stay apart; relabeled ones, in any node order, must
+	// meet. Each placement is listed with its relabeled group sequence.
+	cases := []struct {
+		nodes []int
+		seq   string
+	}{
+		{[]int{0, 1, 4}, "001"},
+		{[]int{4, 5, 0}, "001"},
+		{[]int{0, 4, 5}, "011"},
+		{[]int{8, 0, 1}, "011"},
+		{[]int{0, 4, 1}, "010"},
+		{[]int{12, 8, 13}, "010"},
+		{[]int{0, 4, 8}, "012"},
+		{[]int{0, 1, 2}, "000"},
+		{[]int{0, 1, 2, 4}, "0001"},
+		{[]int{0, 4, 5, 6}, "0111"},
+		{[]int{0, 1, 4, 5}, "0011"},
+		{[]int{0, 4, 1, 5}, "0101"},
+		{[]int{0, 4, 5, 1}, "0110"},
+		{[]int{0, 4, 8, 12}, "0123"},
+		{[]int{0, 4}, "01"},
+		{[]int{0, 1}, "00"},
+		{[]int{0}, "0"},
+	}
+	for i, a := range cases {
+		for _, b := range cases[i+1:] {
+			if same := sig(a.nodes) == sig(b.nodes); same != (a.seq == b.seq) {
+				t.Errorf("%v (%s) vs %v (%s): signatures equal = %v", a.nodes, a.seq, b.nodes, b.seq, same)
+			}
+		}
+	}
 
 	// The layout distinction is not pedantry: at a scale where the
 	// global taper binds, packed vs spread placements of the same job
@@ -204,14 +244,17 @@ func TestPricingCacheEvictionAndNil(t *testing.T) {
 	}
 
 	// An invalid placement must surface Bind's canonical error, cache
-	// or no cache, and must not poison the cache.
-	bad := []int{0, 1, 1 << 20}
-	if _, err := env.Bind(p, bad); err == nil {
-		t.Error("cached env accepted an out-of-machine placement")
-	}
+	// or no cache, and must not poison the cache. The repeated-node
+	// placement relabels to the same group sequence as the cached a, so
+	// only rejecting it in the signature keeps a hit from being served.
 	plain := testEnv(t)
-	if _, err := plain.Bind(p, bad); err == nil {
-		t.Error("uncached env accepted an out-of-machine placement")
+	for _, bad := range [][]int{{0, 1, 1 << 20}, {0, 1, 1}} {
+		if _, err := env.Bind(p, bad); err == nil {
+			t.Errorf("cached env accepted invalid placement %v", bad)
+		}
+		if _, err := plain.Bind(p, bad); err == nil {
+			t.Errorf("uncached env accepted invalid placement %v", bad)
+		}
 	}
 }
 
@@ -246,4 +289,81 @@ func TestPricingCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// perNodeSignature is the encoding PlacementSignature replaced: one
+// word per node carrying its relabeled group, after the node count.
+func perNodeSignature(env *job.Env, nodes []int) [sha256.Size]byte {
+	f := env.Fabric
+	labels := map[int]uint32{}
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(nodes)))
+	for _, n := range nodes {
+		g := f.EndpointGroup(f.NodeEndpoint(n, 0))
+		if _, ok := labels[g]; !ok {
+			labels[g] = uint32(len(labels))
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, labels[g])
+	}
+	return sha256.Sum256(buf)
+}
+
+// The run-length signature partitions placements into exactly the
+// classes the per-node encoding did, so every pricing-cache hit and
+// miss is unchanged.
+func TestPlacementSignatureMatchesPerNodeClasses(t *testing.T) {
+	env := testEnv(t) // 16 nodes: small enough that classes collide often
+	rng := rand.New(rand.NewSource(11))
+	var placements [][]int
+	for i := 0; i < 300; i++ {
+		placements = append(placements, rng.Perm(16)[:1+rng.Intn(6)])
+	}
+	sigs := make([]job.Sig, len(placements))
+	refs := make([][sha256.Size]byte, len(placements))
+	for i, nodes := range placements {
+		s, ok := env.PlacementSignature(nodes)
+		if !ok {
+			t.Fatalf("signature rejected %v", nodes)
+		}
+		sigs[i], refs[i] = s, perNodeSignature(env, nodes)
+	}
+	shared := 0
+	for i := range placements {
+		for k := i + 1; k < len(placements); k++ {
+			if (sigs[i] == sigs[k]) != (refs[i] == refs[k]) {
+				t.Fatalf("%v and %v: run-length equal = %v, per-node equal = %v",
+					placements[i], placements[k], sigs[i] == sigs[k], refs[i] == refs[k])
+			}
+			if refs[i] == refs[k] {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("no two random placements shared a class; the comparison proved nothing")
+	}
+}
+
+// PlacementSignature's allocations do not grow with the placement: a
+// full-machine job costs the same number as a 16-node one.
+func TestPlacementSignatureAllocsIndependentOfSize(t *testing.T) {
+	spec := machine.Frontier()
+	f, err := spec.NewFabric()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := spec.JobEnv(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		nodes := env.SpreadPlacement(n)
+		return testing.AllocsPerRun(20, func() {
+			if _, ok := env.PlacementSignature(nodes); !ok {
+				t.Fatal("signature rejected a spread placement")
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(9000); small != large {
+		t.Errorf("PlacementSignature allocs/op: %v for 16 nodes, %v for 9000 nodes", small, large)
+	}
 }

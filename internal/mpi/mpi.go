@@ -42,24 +42,29 @@ type Comm struct {
 	Nodes []int
 	PPN   int
 
-	groups map[int]bool
+	groups int
 }
 
 // NewComm creates a communicator over the given compute nodes with ppn
-// ranks per node.
+// ranks per node. Nodes must be distinct: allocation is exclusive, and
+// Split/SplitOne rely on every node's ranks forming one contiguous run.
 func NewComm(f *fabric.Fabric, nodes []int, ppn int) (*Comm, error) {
 	if len(nodes) == 0 || ppn < 1 {
 		return nil, fmt.Errorf("mpi: communicator needs nodes and ppn >= 1")
 	}
 	maxNode := f.Cfg.ComputeNodes()
-	groups := make(map[int]bool)
+	seen := make([]uint64, (maxNode+63)/64)
 	for _, n := range nodes {
 		if n < 0 || n >= maxNode {
 			return nil, fmt.Errorf("mpi: node %d outside fabric (0..%d)", n, maxNode-1)
 		}
-		groups[f.EndpointGroup(f.NodeEndpoints(n)[0])] = true
+		bit := uint64(1) << (n & 63)
+		if seen[n>>6]&bit != 0 {
+			return nil, fmt.Errorf("mpi: node %d listed twice", n)
+		}
+		seen[n>>6] |= bit
 	}
-	return &Comm{F: f, Nodes: nodes, PPN: ppn, groups: groups}, nil
+	return &Comm{F: f, Nodes: nodes, PPN: ppn, groups: f.GroupsSpanned(nodes)}, nil
 }
 
 // Size returns the rank count.
@@ -70,13 +75,11 @@ func (c *Comm) NodeOf(rank int) int { return c.Nodes[rank/c.PPN] }
 
 // EndpointOf returns the NIC endpoint a rank injects through.
 func (c *Comm) EndpointOf(rank int) int {
-	local := rank % c.PPN
-	eps := c.F.NodeEndpoints(c.NodeOf(rank))
-	return eps[local%len(eps)]
+	return c.F.NodeEndpoint(c.NodeOf(rank), rank%c.PPN)
 }
 
 // GroupsSpanned reports how many dragonfly groups the job covers.
-func (c *Comm) GroupsSpanned() int { return len(c.groups) }
+func (c *Comm) GroupsSpanned() int { return c.groups }
 
 // ranksPerNIC is how many ranks share one NIC.
 func (c *Comm) ranksPerNIC() float64 {
@@ -230,16 +233,10 @@ func (c *Comm) String() string {
 // row/column communicators a 2-D pencil decomposition uses.
 func (c *Comm) Split(color func(rank int) int) (map[int]*Comm, error) {
 	nodesByColor := map[int][]int{}
-	seen := map[int]map[int]bool{}
 	for r := 0; r < c.Size(); r++ {
 		col := color(r)
-		n := c.NodeOf(r)
-		if seen[col] == nil {
-			seen[col] = map[int]bool{}
-		}
-		if !seen[col][n] {
-			seen[col][n] = true
-			nodesByColor[col] = append(nodesByColor[col], n)
+		if ns, n := nodesByColor[col], c.NodeOf(r); len(ns) == 0 || ns[len(ns)-1] != n {
+			nodesByColor[col] = append(ns, n)
 		}
 	}
 	out := make(map[int]*Comm, len(nodesByColor))
@@ -260,16 +257,17 @@ func (c *Comm) Split(color func(rank int) int) (map[int]*Comm, error) {
 // path uses it because congruent-subgroup collectives only ever price
 // the rank-0 subgroup, and a full Split of a hero-job communicator
 // builds thousands of discarded sub-communicators.
+//
+// Neither split needs a seen-set: a node's ranks are one contiguous run
+// and NewComm rejects repeated nodes, so a node already collected for a
+// color is always the one collected last.
 func (c *Comm) SplitOne(color func(rank int) int, col int) (*Comm, error) {
 	var nodes []int
-	seen := map[int]bool{}
 	for r := 0; r < c.Size(); r++ {
 		if color(r) != col {
 			continue
 		}
-		n := c.NodeOf(r)
-		if !seen[n] {
-			seen[n] = true
+		if n := c.NodeOf(r); len(nodes) == 0 || nodes[len(nodes)-1] != n {
 			nodes = append(nodes, n)
 		}
 	}

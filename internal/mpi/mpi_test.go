@@ -61,6 +61,13 @@ func TestCommValidation(t *testing.T) {
 	if _, err := NewComm(f, nodeRange(4), 0); err == nil {
 		t.Error("zero ppn should error")
 	}
+	// Exclusive allocation: a node listed twice, adjacent or not, is
+	// rejected, which is what lets Split and SplitOne drop their seen-sets.
+	for _, nodes := range [][]int{{3, 3}, {5, 7, 5}, {0, 1, 2, 9, 1}} {
+		if _, err := NewComm(f, nodes, 2); err == nil {
+			t.Errorf("repeated node in %v should error", nodes)
+		}
+	}
 }
 
 func TestGroupsSpanned(t *testing.T) {

@@ -8,17 +8,22 @@
 //
 // The hot paths are indexed for full-machine campaigns: a per-group
 // free-count table and a free-node bitmap (bit set ⟺ free AND healthy)
-// make place() near-O(groups) instead of O(nodes), a per-node running-job
+// make Place near-O(groups) instead of O(nodes), a per-node running-job
 // table makes failure attribution O(1), and the pending queue is an
 // index-tracked structure with tombstoned removal so backfill never pays
-// the old O(n) slice deletes. All index structures are pure accelerators:
+// the old O(n) slice deletes. Place allocates only its result: a packed
+// job is walked off one group's bitmap in node order, and a spread job is
+// marked into a reusable node bitmap and swept out in node order, so no
+// allocation is ever sorted. All index structures are pure accelerators:
 // placement decisions, queue order, and therefore every downstream RNG
 // draw are bit-identical to the linear-scan implementation they replace.
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"frontiersim/internal/fabric"
@@ -113,13 +118,7 @@ func (j *Job) Class() string {
 }
 
 // GroupsSpanned reports how many dragonfly groups the allocation touches.
-func (j *Job) GroupsSpanned(f *fabric.Fabric) int {
-	gs := map[int]bool{}
-	for _, n := range j.Alloc {
-		gs[f.EndpointGroup(f.NodeEndpoints(n)[0])] = true
-	}
-	return len(gs)
-}
+func (j *Job) GroupsSpanned(f *fabric.Fabric) int { return f.GroupsSpanned(j.Alloc) }
 
 // Scheduler is the system-level batch scheduler.
 type Scheduler struct {
@@ -156,11 +155,14 @@ type Scheduler struct {
 	running   map[int]*Job
 	nextJobID int
 	vni       *vniPool
-	// scratch is a per-node membership bitmap reused by place's second
-	// pass; it is always all-false between calls.
-	scratch []bool
-	// gfScratch is place's reusable (group, free) working slice.
+	// marks is spread placement's per-node bitmap (bit n set ⟺ node n
+	// chosen); the sweep that emits the allocation leaves it all-zero.
+	marks []uint64
+	// gfScratch is Place's reusable (group, free) working slice.
 	gfScratch []groupFreeCount
+	// endsScratch is reservation's reusable running-job slice; it holds
+	// no pointers between calls.
+	endsScratch []*Job
 
 	// Stats.
 	Started, Finished, FailedJobs, HealthRejects int
@@ -186,7 +188,7 @@ func New(k *sim.Kernel, f *fabric.Fabric) *Scheduler {
 		running:       map[int]*Job{},
 		nextJobID:     1,
 		vni:           newVNIPool(1, 65535),
-		scratch:       make([]bool, total),
+		marks:         make([]uint64, (total+63)/64),
 		gfScratch:     make([]groupFreeCount, 0, f.Cfg.ComputeGroups),
 	}
 	for i := range s.free {
@@ -383,23 +385,29 @@ func (s *Scheduler) reservation(head *Job) (units.Seconds, int) {
 	if free >= head.Nodes {
 		return s.K.Now(), head.Nodes
 	}
-	ends := make([]*Job, 0, len(s.running))
+	ends := s.endsScratch[:0]
 	for _, j := range s.running {
 		ends = append(ends, j)
 	}
-	sort.Slice(ends, func(i, k int) bool { return ends[i].End < ends[k].End })
+	// Map order reaches the sort, but only the threshold job's End is
+	// returned, and jobs tied on End all return the same value.
+	slices.SortFunc(ends, func(a, b *Job) int { return cmp.Compare(a.End, b.End) })
+	at := s.K.Now() + head.Walltime // unreachable in practice
 	for _, j := range ends {
 		free += len(j.Alloc)
 		if free >= head.Nodes {
-			return j.End, head.Nodes
+			at = j.End
+			break
 		}
 	}
-	return s.K.Now() + head.Walltime, head.Nodes // unreachable in practice
+	clear(ends)
+	s.endsScratch = ends[:0]
+	return at, head.Nodes
 }
 
 // start attempts to place and launch a job; reports success.
 func (s *Scheduler) start(j *Job) bool {
-	alloc := s.place(j.Nodes)
+	alloc := s.Place(j.Nodes)
 	if alloc == nil {
 		return false
 	}
@@ -487,9 +495,13 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	s.trySchedule()
 }
 
-// place chooses nodes for a job of size n, or nil if it cannot fit now.
-// It only reads the scheduling index; start() commits the allocation.
-func (s *Scheduler) place(n int) []int {
+// Place chooses nodes for a job of size n, or returns nil if it cannot
+// fit now. It only reads the scheduling index — starting a job commits
+// the allocation — so it doubles as a dry-run query. The result is
+// ascending and exactly n long: a packed job comes from one group's
+// bitmap walk, and a spread job is marked node by node and swept out in
+// node order.
+func (s *Scheduler) Place(n int) []int {
 	if n <= s.nodesPerGroup {
 		// Pack: best-fit group (smallest free count that fits) to keep
 		// large contiguous blocks available.
@@ -501,7 +513,7 @@ func (s *Scheduler) place(n int) []int {
 			}
 		}
 		if best >= 0 {
-			return s.takeFromGroup(best, n)
+			return s.takeFromGroup(make([]int, 0, n), best, n)
 		}
 		// No single group fits; fall through to spreading.
 	}
@@ -511,86 +523,63 @@ func (s *Scheduler) place(n int) []int {
 	// Spread: allocate round-robin from the groups with the most free
 	// nodes so the job touches as many groups as evenly as possible.
 	gf := s.gfScratch[:0]
+	groupsWithFree := 0
 	for g := 0; g < s.groups; g++ {
 		gf = append(gf, groupFreeCount{id: g, free: s.groupFree[g]})
-	}
-	sort.Slice(gf, func(i, k int) bool {
-		if gf[i].free != gf[k].free {
-			return gf[i].free > gf[k].free
-		}
-		return gf[i].id < gf[k].id
-	})
-	var alloc []int
-	remaining := n
-	// First pass: equal share per group.
-	groupsWithFree := 0
-	for _, g := range gf {
-		if g.free > 0 {
+		if s.groupFree[g] > 0 {
 			groupsWithFree++
 		}
 	}
+	slices.SortFunc(gf, func(a, b groupFreeCount) int {
+		if a.free != b.free {
+			return cmp.Compare(b.free, a.free)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	alloc := make([]int, 0, n)
+	remaining := n
+	// First pass: equal share per group.
 	share := (n + groupsWithFree - 1) / groupsWithFree
 	for _, g := range gf {
 		if remaining == 0 {
 			break
 		}
-		take := share
-		if take > g.free {
-			take = g.free
-		}
-		if take > remaining {
-			take = remaining
-		}
-		alloc = append(alloc, s.takeFromGroup(g.id, take)...)
+		take := min(share, g.free, remaining)
+		alloc = s.takeFromGroup(alloc, g.id, take)
 		remaining -= take
 	}
-	// Second pass: whatever is left, wherever it fits, in ascending node
-	// order off the free bitmap; the scratch bitmap keeps the membership
-	// check O(1) per node.
-	if remaining > 0 {
-		taken := s.scratch
-		for _, a := range alloc {
-			taken[a] = true
-		}
-		for node := 0; node < s.totalNodes && remaining > 0; {
-			w := s.freeBits[node>>6] >> (node & 63)
-			if w == 0 {
-				node = (node &^ 63) + 64
-				continue
-			}
-			node += bits.TrailingZeros64(w)
-			if node >= s.totalNodes {
-				break
-			}
-			if !taken[node] {
-				taken[node] = true
-				alloc = append(alloc, node)
-				remaining--
-			}
-			node++
-		}
-		for _, a := range alloc {
-			taken[a] = false
+	marks := s.marks
+	for _, a := range alloc {
+		marks[a>>6] |= 1 << (a & 63)
+	}
+	// Second pass: whatever is left, wherever it fits, lowest free
+	// unmarked node first.
+	for w := 0; w < len(marks) && remaining > 0; w++ {
+		for avail := s.freeBits[w] &^ marks[w]; avail != 0 && remaining > 0; avail &= avail - 1 {
+			marks[w] |= avail & -avail
+			remaining--
 		}
 	}
-	if remaining > 0 {
-		return nil
+	// Sweep: emit the marked nodes in ascending order, clearing as we go.
+	alloc = alloc[:0]
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			alloc = append(alloc, w<<6|bits.TrailingZeros64(word))
+		}
+		marks[w] = 0
 	}
-	sort.Ints(alloc)
+	if remaining > 0 {
+		return nil // the index undercounted; never grant a short allocation
+	}
 	return alloc
 }
 
-// takeFromGroup collects up to n free healthy nodes from group g in
-// ascending node order — the same order the old linear scan produced,
-// now walked off the free bitmap.
-func (s *Scheduler) takeFromGroup(g, n int) []int {
-	out := make([]int, 0, n)
+// takeFromGroup appends up to n free healthy nodes from group g to out
+// in ascending node order, walked off the free bitmap.
+func (s *Scheduler) takeFromGroup(out []int, g, n int) []int {
 	start := g * s.nodesPerGroup
-	end := start + s.nodesPerGroup
-	if end > s.totalNodes {
-		end = s.totalNodes
-	}
-	for node := start; node < end && len(out) < n; {
+	end := min(start+s.nodesPerGroup, s.totalNodes)
+	for node := start; node < end && n > 0; {
 		w := s.freeBits[node>>6] >> (node & 63)
 		if w == 0 {
 			node = (node &^ 63) + 64
@@ -601,6 +590,7 @@ func (s *Scheduler) takeFromGroup(g, n int) []int {
 			break
 		}
 		out = append(out, node)
+		n--
 		node++
 	}
 	return out
