@@ -4,21 +4,22 @@
 //
 // Usage:
 //
-//	gpcnet [-nodes N] [-ppn P] [-cc=false] [-trials T] [-jobs J]
+//	gpcnet [-nodes N] [-ppn P] [-cc=false] [-seed S] [-trials T]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// With -trials > 1 the repetitions run concurrently on a bounded worker
-// pool, one derived rng stream per trial; the first trial's table is
-// printed plus per-trial impact factors. Results are byte-identical at
-// any -jobs setting for a fixed seed.
+// With -trials > 1 the repetitions run one after another. Trial 0 uses
+// the -seed stream itself, so the table printed is the one -trials 1
+// prints; each later trial draws from its own derived stream and adds a
+// line of per-trial impact factors.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
+	"frontiersim/internal/fabric"
+	"frontiersim/internal/harness"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/network"
 	"frontiersim/internal/profiling"
@@ -33,7 +34,6 @@ func run() int {
 	cc := flag.Bool("cc", true, "hardware congestion control enabled")
 	seed := flag.Int64("seed", 1, "random seed")
 	trials := flag.Int("trials", 1, "independent benchmark repetitions")
-	jobs := flag.Int("jobs", 0, "concurrent trial workers (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -54,21 +54,12 @@ func run() int {
 	cfg.Nodes = *nodes
 	cfg.PPN = *ppn
 	cfg.CongestionControl = *cc
-	var res network.GPCNeTResult
-	var all []network.GPCNeTResult
-	if *trials > 1 {
-		all, err = network.RunGPCNeTTrials(context.Background(), f, cfg, *trials,
-			network.ParallelConfig{Jobs: *jobs, Seed: *seed})
-		if err == nil {
-			res = all[0]
-		}
-	} else {
-		res, err = network.RunGPCNeT(f, cfg, rng.New(*seed))
-	}
+	all, err := runTrials(f, cfg, *seed, *trials)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpcnet:", err)
 		return 1
 	}
+	res := all[0]
 	fmt.Printf("GPCNeT on %d nodes, %d PPN, congestion control %v\n\n", *nodes, *ppn, *cc)
 	fmt.Printf("%-32s %10s %10s\n", "test", "isolated", "congested")
 	row := func(name, iso, con string) { fmt.Printf("%-32s %10s %10s\n", name, iso, con) }
@@ -97,4 +88,26 @@ func run() int {
 		fmt.Printf("  mean:    bandwidth %.2fx, latency %.2fx, allreduce %.2fx\n", bw/n, lat/n, ar/n)
 	}
 	return 0
+}
+
+// runTrials runs the benchmark trials times. Trial 0 draws from seed
+// itself and trial i >= 1 from harness.DeriveSeed(seed, "trial-i"), so
+// adding trials never changes the first result.
+func runTrials(f *fabric.Fabric, cfg network.GPCNeTConfig, seed int64, trials int) ([]network.GPCNeTResult, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("need at least one trial, got %d", trials)
+	}
+	out := make([]network.GPCNeTResult, trials)
+	for i := range out {
+		s := seed
+		if i > 0 {
+			s = harness.DeriveSeed(seed, fmt.Sprintf("trial-%d", i))
+		}
+		res, err := network.RunGPCNeTWithCache(f, cfg, rng.New(s), nil, "")
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
 }

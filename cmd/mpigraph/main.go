@@ -4,16 +4,15 @@
 //
 // Usage:
 //
-//	mpigraph -fabric frontier|summit [-nodes N] [-shifts S] [-bins B] [-jobs J]
+//	mpigraph -fabric frontier|summit [-nodes N] [-shifts S] [-bins B] [-seed S]
 //	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// Shifts are evaluated concurrently on a bounded worker pool with
-// epoch-cached adaptive routes; the census is byte-identical at any
-// -jobs setting for a fixed seed.
+// It runs the same census as frontier-sim's fig6 experiment
+// (network.RunMpiGraphWithCache), without a solution cache; the output
+// is a function of the flags alone.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -23,6 +22,7 @@ import (
 	"frontiersim/internal/machine"
 	"frontiersim/internal/network"
 	"frontiersim/internal/profiling"
+	"frontiersim/internal/rng"
 )
 
 func main() { os.Exit(run()) }
@@ -33,7 +33,6 @@ func run() int {
 	shifts := flag.Int("shifts", 8, "shift permutations to sample")
 	bins := flag.Int("bins", 20, "histogram bins")
 	seed := flag.Int64("seed", 1, "random seed")
-	jobs := flag.Int("jobs", 0, "concurrent shift workers (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -63,8 +62,7 @@ func run() int {
 	}
 	cfg.Nodes = *nodes
 	cfg.Shifts = *shifts
-	res, err := network.RunMpiGraphParallel(context.Background(), f, cfg,
-		network.ParallelConfig{Jobs: *jobs, Seed: *seed})
+	res, err := network.RunMpiGraphWithCache(f, cfg, rng.New(*seed), nil, "")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpigraph:", err)
 		return 1

@@ -111,8 +111,9 @@ type Fabric struct {
 	uplink, downlink []int
 
 	// stateEpoch counts link/switch state transitions (FailLink,
-	// RestoreLink, FailSwitch). Caches keyed on routing inputs — notably
-	// PathCache — compare it to detect that their entries went stale.
+	// RestoreLink, FailSwitch). The network layer's SolutionCache keys on
+	// it, and SolveDelta reads the journal below from it, to detect that
+	// a stored allocation went stale.
 	stateEpoch uint64
 
 	// stateLog journals which links each epoch bump touched, so
@@ -177,9 +178,6 @@ func (f *Fabric) ChangedSince(e uint64) (links []int, ok bool) {
 	}
 	return links, true
 }
-
-// key packs two non-negative ints into a cache key.
-func key(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
 // initRoutingIndex sizes the dense routing lookups once groups and
 // switches exist. Constructors must call it before adding intra or

@@ -1,6 +1,56 @@
 package fabric
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// A route set built before a link failure goes stale: the failure and
+// the restore each advance the state epoch by one — what epoch-keyed
+// consumers (SolutionCache, SolveDelta) check — the journal names the
+// link, and routes rebuilt at the new epoch avoid it.
+func TestPathCacheInvalidatedByLinkState(t *testing.T) {
+	f := small(t)
+	ps, err := f.AdaptivePaths(0, 40, 2, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := ps.Paths[0][1] // a fabric link (index 0 is the injection link)
+	before := f.StateEpoch()
+	f.FailLink(failed)
+	if got := f.StateEpoch(); got != before+1 {
+		t.Fatalf("FailLink moved the epoch %d -> %d, want +1", before, got)
+	}
+	if links, ok := f.ChangedSince(before); !ok || !slices.Contains(links, failed) {
+		t.Errorf("ChangedSince(%d) = %v, %v; want failed link %d", before, links, ok, failed)
+	}
+	fresh, err := f.AdaptivePaths(0, 40, 2, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range fresh.Paths {
+		if slices.Contains(p, failed) {
+			t.Fatalf("rebuilt path still crosses failed link %d", failed)
+		}
+	}
+	before = f.StateEpoch()
+	f.RestoreLink(failed)
+	if got := f.StateEpoch(); got != before+1 {
+		t.Errorf("RestoreLink moved the epoch %d -> %d, want +1", before, got)
+	}
+}
+
+// A switch failure downs many links but is one transition: the state
+// epoch advances by exactly one.
+func TestPathCacheSwitchFailureAdvancesEpoch(t *testing.T) {
+	f := small(t)
+	before := f.StateEpoch()
+	f.FailSwitch(5)
+	if got := f.StateEpoch(); got != before+1 {
+		t.Errorf("FailSwitch moved the epoch %d -> %d, want +1", before, got)
+	}
+}
 
 // The change journal answers "which links changed since epoch e" for
 // the delta solver. Fail/restore transitions are recorded per link,

@@ -17,12 +17,10 @@ import (
 // what-ifs, ablation arms that share a traffic matrix) return stored
 // allocations without touching the water-filling heap. Cache entries are
 // keyed by (topology, fabric state epoch, demand signature) and so are
-// invalidated by the same FailLink/RestoreLink/FailSwitch epoch bumps
-// that already invalidate fabric.PathCache.
+// invalidated by every FailLink/RestoreLink/FailSwitch epoch bump.
 
-// Signature identifies a demand set (or a pattern that fully determines
-// one) for solution caching. It is a SHA-256 in the style of the
-// machine.Hash canonical content address.
+// Signature identifies a demand set for solution caching. It is a
+// SHA-256 in the style of the machine.Hash canonical content address.
 type Signature [sha256.Size]byte
 
 // sigHasher streams fixed-width little-endian words into a SHA-256
@@ -73,22 +71,6 @@ func DemandSignature(demands []*Demand) Signature {
 				h.u64(uint64(lid))
 			}
 		}
-	}
-	return h.sum()
-}
-
-// PatternSignature hashes a short tuple that fully determines a demand
-// set without building it — e.g. the parallel census signs
-// (path-cache seed, valiant fanout, nodes, ranks, shift) because the
-// PathCache makes every path set a pure function of those values. The
-// tag namespaces patterns so two callers hashing coincidentally equal
-// tuples can't collide.
-func PatternSignature(tag string, vals ...uint64) Signature {
-	h := newSigHasher()
-	h.d.Write([]byte(tag))
-	h.u64(uint64(len(vals)))
-	for _, v := range vals {
-		h.u64(v)
 	}
 	return h.sum()
 }

@@ -102,10 +102,7 @@ func RunMpiGraphWithCache(f *fabric.Fabric, cfg MpiGraphConfig, rng *rand.Rand, 
 	order := sampleShifts(nodes, shifts, rng)
 	var result MpiGraphResult
 	for _, s := range order {
-		demands, err := buildShiftDemands(f, nodes, ranks, s, func(src, dst int) ([][]int, error) {
-			ps, err := f.AdaptivePaths(src, dst, cfg.ValiantPaths, rng)
-			return ps.Paths, err
-		})
+		demands, err := buildShiftDemands(f, nodes, ranks, s, cfg.ValiantPaths, rng)
 		if err != nil {
 			return MpiGraphResult{}, err
 		}
@@ -164,11 +161,11 @@ func sampleShifts(nodes, shifts int, rng *rand.Rand) []int {
 	return order
 }
 
-// buildShiftDemands constructs one shift's demand set: rank k of node i
-// sends to rank k of node i+s. paths supplies the route set per endpoint
-// pair — the serial census threads a shared rng through AdaptivePaths,
-// the parallel census an epoch-cached PathCache.
-func buildShiftDemands(f *fabric.Fabric, nodes, ranks, s int, paths func(src, dst int) ([][]int, error)) ([]*Demand, error) {
+// buildShiftDemands constructs one shift's demand set for
+// RunMpiGraphWithCache: rank k of node i sends to rank k of node i+s,
+// each pair routed by AdaptivePaths with valiant detours drawn from the
+// census's shared rng.
+func buildShiftDemands(f *fabric.Fabric, nodes, ranks, s, valiant int, rng *rand.Rand) ([]*Demand, error) {
 	// One slab allocation for the Demand objects themselves: a full-scale
 	// shift is ~75k demands, and a per-demand heap object apiece was a
 	// visible slice of the census's allocation bill. The slab is sized
@@ -184,11 +181,11 @@ func buildShiftDemands(f *fabric.Fabric, nodes, ranks, s int, paths func(src, ds
 		for k := 0; k < ranks; k++ {
 			src := f.NodeEndpoint(i, k)
 			dst := f.NodeEndpoint(j, k)
-			ps, err := paths(src, dst)
+			ps, err := f.AdaptivePaths(src, dst, valiant, rng)
 			if err != nil {
 				return nil, err
 			}
-			slab = append(slab, Demand{Src: src, Dst: dst, Paths: ps})
+			slab = append(slab, Demand{Src: src, Dst: dst, Paths: ps.Paths})
 			demands = append(demands, &slab[len(slab)-1])
 		}
 	}

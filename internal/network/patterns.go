@@ -3,14 +3,11 @@ package network
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"frontiersim/internal/fabric"
 )
 
-// Pattern generates traffic demands over a set of compute nodes. The
-// benchmark drivers (mpiGraph's shifts, GPCNeT's congestors) and the
-// ablation studies are built from these shapes.
+// Pattern generates traffic demands over a set of compute nodes.
 type Pattern func(f *fabric.Fabric, nodes []int, rng *rand.Rand) ([]*Demand, error)
 
 // buildDemand routes one NIC-to-NIC pair adaptively.
@@ -47,103 +44,5 @@ func Shift(s, nicsPerNode, valiant int) Pattern {
 			}
 		}
 		return out, nil
-	}
-}
-
-// RandomPermutation pairs every node with a random partner.
-func RandomPermutation(nicsPerNode, valiant int) Pattern {
-	return func(f *fabric.Fabric, nodes []int, rng *rand.Rand) ([]*Demand, error) {
-		if len(nodes) < 2 {
-			return nil, fmt.Errorf("network: permutation needs >= 2 nodes")
-		}
-		perm := rng.Perm(len(nodes))
-		var out []*Demand
-		for i, pi := range perm {
-			if i == pi {
-				continue
-			}
-			for k := 0; k < nicsPerNode; k++ {
-				d, err := buildDemand(f, nodes[i], nodes[pi], k, valiant, rng)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, d)
-			}
-		}
-		return out, nil
-	}
-}
-
-// Incast aims every node at a single target — GPCNeT's tree-saturation
-// generator and the reason congestion control exists.
-func Incast(target int, valiant int) Pattern {
-	return func(f *fabric.Fabric, nodes []int, rng *rand.Rand) ([]*Demand, error) {
-		var out []*Demand
-		for _, n := range nodes {
-			if n == target {
-				continue
-			}
-			d, err := buildDemand(f, n, target, 0, valiant, rng)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, d)
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("network: incast needs senders besides the target")
-		}
-		return out, nil
-	}
-}
-
-// Broadcast is the mirror of Incast: one root sprays all others (the
-// one- and two-sided broadcast congestors of GPCNeT).
-func Broadcast(root int, valiant int) Pattern {
-	return func(f *fabric.Fabric, nodes []int, rng *rand.Rand) ([]*Demand, error) {
-		var out []*Demand
-		for _, n := range nodes {
-			if n == root {
-				continue
-			}
-			d, err := buildDemand(f, root, n, 0, valiant, rng)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, d)
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("network: broadcast needs receivers besides the root")
-		}
-		return out, nil
-	}
-}
-
-// Measure runs a pattern through the max-min solver and summarises the
-// per-demand rates.
-func Measure(f *fabric.Fabric, p Pattern, nodes []int, rng *rand.Rand) (MpiGraphResult, error) {
-	demands, err := p(f, nodes, rng)
-	if err != nil {
-		return MpiGraphResult{}, err
-	}
-	if err := Solve(f, demands); err != nil {
-		return MpiGraphResult{}, err
-	}
-	var res MpiGraphResult
-	var sum float64
-	for _, d := range demands {
-		res.Samples = append(res.Samples, d.Rate)
-		sum += d.Rate
-	}
-	sortSamples(&res)
-	res.Mean = sum / float64(len(res.Samples))
-	return res, nil
-}
-
-func sortSamples(r *MpiGraphResult) {
-	sort.Float64s(r.Samples)
-	if len(r.Samples) > 0 {
-		r.Min = r.Samples[0]
-		r.Max = r.Samples[len(r.Samples)-1]
-		r.Median = r.Samples[len(r.Samples)/2]
 	}
 }

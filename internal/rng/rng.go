@@ -3,23 +3,20 @@
 // math/rand's legacy lagged-Fibonacci source on every hot path.
 //
 // Why it exists: rand.NewSource pays a 607-element warmup on every Seed,
-// which dominated profiles of the full-scale mpiGraph census — the
-// simulator builds a fresh stream per (src,dst,epoch) path fill, per
-// shift, per trial, and per experiment, so stream construction has to be
-// a handful of arithmetic instructions, not thousands. Here a stream is
-// a xoshiro256++ generator whose 256-bit state is expanded from a 64-bit
+// which dominated profiles of the simulator — it builds a fresh stream
+// per component, per task and per experiment, so stream construction
+// has to be a handful of arithmetic instructions, not thousands. Here a
+// stream is a xoshiro256++ generator whose 256-bit state is expanded from a 64-bit
 // seed by SplitMix64 (the seeding procedure its authors prescribe), so
 // construction costs four multiplies and never touches the heap beyond
 // the state itself.
 //
-// Splittability: Mix64 is a bijective avalanche, so folding coordinates
-// (a name hash, a shift index, an endpoint pair, a state epoch) into a
-// parent seed yields child seeds whose streams are statistically
-// independent even when the inputs are consecutive small integers.
-// Derive and DeriveN are the only sanctioned ways to build child seeds;
-// deriving by drawing from a parent *stream* is forbidden because it
-// makes the child depend on derivation order (the bug Kernel.Stream
-// shipped with). The derivation tree is documented in DESIGN.md and
+// Splittability: Mix64 is a bijective avalanche, so folding a name hash
+// into a parent seed yields child seeds whose streams are statistically
+// independent even when the names differ in a single character.
+// Derive is the only sanctioned way to build child seeds; deriving by
+// drawing from a parent *stream* is forbidden because it makes the
+// child depend on derivation order (the bug Kernel.Stream shipped with). The derivation tree is documented in DESIGN.md and
 // pinned by golden-stream tests.
 package rng
 
@@ -31,7 +28,8 @@ const golden = 0x9E3779B97F4A7C15
 
 // Mix64 is the SplitMix64 finalizer (Steele, Lea & Flood 2014): a
 // bijection over 64 bits whose output bits each depend on every input
-// bit. It is the shared avalanche behind Derive, DeriveN and Expand.
+// bit. It is the shared avalanche behind Derive and Seed's state
+// expansion.
 func Mix64(x uint64) uint64 {
 	x += golden
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
@@ -56,18 +54,6 @@ func fnv64a(name string) uint64 {
 // refactors that add, remove or reorder sibling streams.
 func Derive(seed int64, name string) int64 {
 	return int64(Mix64(uint64(seed) ^ fnv64a(name)))
-}
-
-// DeriveN folds integer coordinates into a parent seed, one avalanche
-// per coordinate: the numeric analogue of Derive for per-shift,
-// per-trial and per-(src,dst,epoch) streams. Folding happens left to
-// right, so DeriveN(s, a, b) and DeriveN(s, b, a) differ.
-func DeriveN(seed int64, coords ...uint64) int64 {
-	h := Mix64(uint64(seed))
-	for _, c := range coords {
-		h = Mix64(h ^ c)
-	}
-	return int64(h)
 }
 
 // Source is a xoshiro256++ generator (Blackman & Vigna 2018). It
