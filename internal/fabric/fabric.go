@@ -78,13 +78,26 @@ type Fabric struct {
 	Kind Kind
 
 	// NumSwitches counts switches (plus one virtual core for FatTree).
-	NumSwitches   int
-	SwitchGroup   []int
+	NumSwitches int
+	SwitchGroup []int
+	// SwitchHealthy and Links are the authoritative record of switch and
+	// link state. Both change only through FailLink, RestoreLink and
+	// FailSwitch, which keep the dense tables below in step; no code may
+	// write them directly.
 	SwitchHealthy []bool
 	groupClass    []GroupClass
 	groupSwitches [][]int
 
 	Links []Link
+	// linkState and linkCap are the link table's hot columns. Routing
+	// probes a link's state millions of times per census, and a Link is a
+	// 48-byte struct (8.5 MB for Frontier), so every probe of Links was a
+	// cache miss. linkState holds one byte per link (~177 KB): stateUp
+	// mirrors Links[id].Up, and stateUsable is Up with both switches
+	// healthy, the answer linkUp gives. linkCap mirrors Links[id].Cap,
+	// which never changes after construction.
+	linkState []uint8
+	linkCap   []float64
 	// Routing lookups sit on the path-fill hot loop (millions of probes
 	// per census), so both are dense arrays rather than maps:
 	//
@@ -98,8 +111,10 @@ type Fabric struct {
 	intraDense []int32
 	intraBase  []int32
 	// globalDense[a*numGroups+b] lists the directed global link ids from
-	// group a to group b.
+	// group a to group b, and globalEnds their (From, To) switches in the
+	// same order, so routing never loads a global link's Link record.
 	globalDense [][]int
+	globalEnds  [][][2]int32
 	numGroups   int
 
 	NumEndpoints   int
@@ -124,6 +139,12 @@ type Fabric struct {
 	stateLog []stateChange
 	logFloor uint64
 }
+
+// Bits of linkState.
+const (
+	stateUp     uint8 = 1 << iota // Links[id].Up
+	stateUsable                   // Up, and every switch the link touches healthy
+)
 
 // stateChange is one journaled link-state transition.
 type stateChange struct {
@@ -200,6 +221,24 @@ func (f *Fabric) initRoutingIndex() {
 	f.intraBase[f.numGroups] = base
 	f.intraDense = make([]int32, base)
 	f.globalDense = make([][]int, f.numGroups*f.numGroups)
+	f.globalEnds = make([][][2]int32, f.numGroups*f.numGroups)
+}
+
+// allocLinks sizes the link table and its dense columns for exactly n
+// links, so building a fabric never grows them.
+func (f *Fabric) allocLinks(n int) {
+	f.Links = make([]Link, 0, n)
+	f.linkState = make([]uint8, 0, n)
+	f.linkCap = make([]float64, 0, n)
+}
+
+// checkLinks reports a constructor whose up-front link count disagrees
+// with the links it added.
+func (f *Fabric) checkLinks(n int) error {
+	if len(f.Links) != n {
+		return fmt.Errorf("fabric: %s built %d links, sized for %d", f.Cfg.Name, len(f.Links), n)
+	}
+	return nil
 }
 
 // setIntra records a directed intra-group link in the dense index.
@@ -240,6 +279,9 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 		Kind: Dragonfly,
 	}
 	// Groups and switches.
+	nsw := cfg.ComputeGroups*cfg.ComputeGroupSwitches + (cfg.IOGroups+cfg.MgmtGroups)*cfg.TORGroupSwitches
+	f.SwitchGroup = make([]int, 0, nsw)
+	f.SwitchHealthy = make([]bool, 0, nsw)
 	for g := 0; g < cfg.TotalGroups(); g++ {
 		class := ComputeGroup
 		switch {
@@ -264,6 +306,32 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 		f.groupSwitches = append(f.groupSwitches, ids)
 	}
 	f.initRoutingIndex()
+	// Size every table up front: endpoint links, a full mesh per group,
+	// and each group pair's global bundle, whose two directed index
+	// lists are carved from one slab.
+	nlinks := 2 * f.NumSwitches * cfg.EndpointsPerSwitch
+	for _, ids := range f.groupSwitches {
+		nlinks += len(ids) * (len(ids) - 1)
+	}
+	nglobal := 0
+	for a := 0; a < cfg.TotalGroups(); a++ {
+		for b := a + 1; b < cfg.TotalGroups(); b++ {
+			nglobal += 2 * cfg.globalLinksBetween(f.groupClass[a], f.groupClass[b])
+		}
+	}
+	nlinks += nglobal
+	f.allocLinks(nlinks)
+	gids, gends := make([]int, nglobal), make([][2]int32, nglobal)
+	for a := 0; a < cfg.TotalGroups(); a++ {
+		for b := a + 1; b < cfg.TotalGroups(); b++ {
+			n := cfg.globalLinksBetween(f.groupClass[a], f.groupClass[b])
+			for _, k := range [2]int{a*f.numGroups + b, b*f.numGroups + a} {
+				f.globalDense[k], gids = gids[:0:n], gids[n:]
+				f.globalEnds[k], gends = gends[:0:n], gends[n:]
+			}
+		}
+	}
+	f.allocEndpoints(f.NumSwitches * cfg.EndpointsPerSwitch)
 	// Endpoints on every switch.
 	epCap := float64(cfg.LinkRate) * cfg.EndpointEfficiency
 	for sw := 0; sw < f.NumSwitches; sw++ {
@@ -294,14 +362,23 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 			for i := 0; i < n; i++ {
 				swa := f.groupSwitches[a][(b*n+i)%len(f.groupSwitches[a])]
 				swb := f.groupSwitches[b][(a*n+i)%len(f.groupSwitches[b])]
-				ab := f.addLink(Global, swa, swb, float64(cfg.LinkRate))
-				ba := f.addLink(Global, swb, swa, float64(cfg.LinkRate))
-				f.globalDense[a*f.numGroups+b] = append(f.globalDense[a*f.numGroups+b], ab)
-				f.globalDense[b*f.numGroups+a] = append(f.globalDense[b*f.numGroups+a], ba)
+				f.addGlobal(a, b, swa, swb)
+				f.addGlobal(b, a, swb, swa)
 			}
 		}
 	}
+	if err := f.checkLinks(nlinks); err != nil {
+		return nil, err
+	}
 	return f, nil
+}
+
+// addGlobal adds the directed global link from switch swa in group a to
+// switch swb in group b, and indexes it with its ends.
+func (f *Fabric) addGlobal(a, b, swa, swb int) {
+	k := a*f.numGroups + b
+	f.globalDense[k] = append(f.globalDense[k], f.addLink(Global, swa, swb, float64(f.Cfg.LinkRate)))
+	f.globalEnds[k] = append(f.globalEnds[k], [2]int32{int32(swa), int32(swb)})
 }
 
 // globalLinksBetween returns the link count between groups of the given
@@ -321,10 +398,28 @@ func (c Config) globalLinksBetween(a, b GroupClass) int {
 	}
 }
 
+// addLink appends a link, up, between healthy switches: constructors
+// add every link before any switch can fail.
 func (f *Fabric) addLink(kind LinkKind, from, to int, capacity float64) int {
 	id := len(f.Links)
 	f.Links = append(f.Links, Link{ID: id, Kind: kind, From: from, To: to, Cap: capacity, Up: true})
+	f.linkState = append(f.linkState, stateUp|stateUsable)
+	f.linkCap = append(f.linkCap, capacity)
 	return id
+}
+
+// allocEndpoints sizes the per-endpoint tables for exactly n endpoints.
+func (f *Fabric) allocEndpoints(n int) {
+	f.endpointSwitch = make([]int, 0, n)
+	f.injectLink = make([]int, 0, n)
+	f.ejectLink = make([]int, 0, n)
+}
+
+// LinkCapUp returns link id's capacity and its Up flag from the dense
+// link columns, without loading its Link record: the max-min solver reads
+// both once for every link a problem crosses.
+func (f *Fabric) LinkCapUp(id int) (capacity float64, up bool) {
+	return f.linkCap[id], f.linkState[id]&stateUp != 0
 }
 
 // EndpointSwitch returns the switch an endpoint is cabled to.
@@ -384,15 +479,41 @@ func (f *Fabric) GlobalLinks(a, b int) []int {
 // FailLink marks a link down.
 func (f *Fabric) FailLink(id int) {
 	f.Links[id].Up = false
+	f.syncState(id)
 	f.stateEpoch++
 	f.logChange(id)
 }
 
-// RestoreLink marks a link up again.
+// RestoreLink marks a link up again. It stays unusable for routing while
+// a switch it touches is unhealthy.
 func (f *Fabric) RestoreLink(id int) {
 	f.Links[id].Up = true
+	f.syncState(id)
 	f.stateEpoch++
 	f.logChange(id)
+}
+
+// syncState recomputes link id's dense state from Links and
+// SwitchHealthy.
+func (f *Fabric) syncState(id int) {
+	l := &f.Links[id]
+	var st uint8
+	if l.Up {
+		st = stateUp
+		healthy := false
+		switch l.Kind {
+		case Injection:
+			healthy = f.SwitchHealthy[l.To]
+		case Ejection:
+			healthy = f.SwitchHealthy[l.From]
+		default:
+			healthy = f.SwitchHealthy[l.From] && f.SwitchHealthy[l.To]
+		}
+		if healthy {
+			st |= stateUsable
+		}
+	}
+	f.linkState[id] = st
 }
 
 // FailSwitch marks a switch unhealthy and all links touching it down.
@@ -405,37 +526,32 @@ func (f *Fabric) FailSwitch(sw int) {
 			(l.Kind == Injection && l.To == sw) || (l.Kind == Ejection && l.From == sw)
 		if touches {
 			l.Up = false
+			f.syncState(i)
 			f.logChange(i)
 		}
 	}
 }
 
 // linkUp reports whether a link and its switches are usable.
-func (f *Fabric) linkUp(id int) bool {
-	l := f.Links[id]
-	if !l.Up {
-		return false
-	}
-	switch l.Kind {
-	case Injection:
-		return f.SwitchHealthy[l.To]
-	case Ejection:
-		return f.SwitchHealthy[l.From]
-	default:
-		return f.SwitchHealthy[l.From] && f.SwitchHealthy[l.To]
-	}
-}
+func (f *Fabric) linkUp(id int) bool { return f.linkState[id]&stateUsable != 0 }
 
-// pickUp returns a usable link from ids, preferring the rotation offset;
-// ok is false if every link is down.
-func (f *Fabric) pickUp(ids []int, offset int) (int, bool) {
+// pickGlobal returns a usable global link from group a to group b and
+// its From and To switches, preferring the rotation offset; ok is false
+// if every such link is down.
+func (f *Fabric) pickGlobal(a, b, offset int) (id, from, to int, ok bool) {
+	if a < 0 || b < 0 || a >= f.numGroups || b >= f.numGroups {
+		return 0, 0, 0, false
+	}
+	k := a*f.numGroups + b
+	ids := f.globalDense[k]
 	for i := 0; i < len(ids); i++ {
-		id := ids[(offset+i)%len(ids)]
-		if f.linkUp(id) {
-			return id, true
+		j := (offset + i) % len(ids)
+		if f.linkUp(ids[j]) {
+			e := f.globalEnds[k][j]
+			return ids[j], int(e[0]), int(e[1]), true
 		}
 	}
-	return 0, false
+	return 0, 0, 0, false
 }
 
 // MinimalPath returns the directed link sequence of the minimal route
@@ -494,11 +610,10 @@ func (f *Fabric) appendMinimalPath(buf []int, src, dst int, rng *rand.Rand) ([]i
 		if rng != nil {
 			off = rng.Intn(8)
 		}
-		gl, ok := f.pickUp(f.GlobalLinks(g1, g2), off)
+		gl, sa, sb, ok := f.pickGlobal(g1, g2, off)
 		if !ok {
 			return nil, fmt.Errorf("fabric: no global link up from group %d to %d", g1, g2)
 		}
-		sa, sb := f.Links[gl].From, f.Links[gl].To
 		if sa != s1 {
 			id, ok := f.intraUp(s1, sa)
 			if !ok {
@@ -549,17 +664,15 @@ func (f *Fabric) appendValiantPath(buf []int, src, dst, via int, rng *rand.Rand)
 	if rng != nil {
 		off1, off2 = rng.Intn(8), rng.Intn(8)
 	}
-	gl1, ok := f.pickUp(f.GlobalLinks(g1, via), off1)
+	gl1, sa, sm1, ok := f.pickGlobal(g1, via, off1)
 	if !ok {
 		return nil, fmt.Errorf("fabric: no global link up from group %d to %d", g1, via)
 	}
-	gl2, ok := f.pickUp(f.GlobalLinks(via, g2), off2)
+	gl2, sm2, sb, ok := f.pickGlobal(via, g2, off2)
 	if !ok {
 		return nil, fmt.Errorf("fabric: no global link up from group %d to %d", via, g2)
 	}
 	path := append(buf, f.injectLink[src])
-	sa, sm1 := f.Links[gl1].From, f.Links[gl1].To
-	sm2, sb := f.Links[gl2].From, f.Links[gl2].To
 	if sa != s1 {
 		id, ok := f.intraUp(s1, sa)
 		if !ok {

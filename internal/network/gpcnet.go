@@ -87,6 +87,7 @@ func RunGPCNeT(f *fabric.Fabric, cfg GPCNeTConfig, rng *rand.Rand) (GPCNeTResult
 // shapes the post-solve head-of-line derating), so ablation arms that
 // differ only in CC — and repeated trials at the same seed — share one
 // stored allocation. Output is byte-identical with or without the cache.
+// Both phases solve on one Solver.
 func RunGPCNeTWithCache(f *fabric.Fabric, cfg GPCNeTConfig, rng *rand.Rand, solutions *SolutionCache, topo string) (GPCNeTResult, error) {
 	if cfg.Nodes > f.Cfg.ComputeNodes() {
 		return GPCNeTResult{}, fmt.Errorf("network: %d nodes exceeds fabric's %d", cfg.Nodes, f.Cfg.ComputeNodes())
@@ -103,15 +104,16 @@ func RunGPCNeTWithCache(f *fabric.Fabric, cfg GPCNeTConfig, rng *rand.Rand, solu
 			congestors = append(congestors, n)
 		}
 	}
+	solver := NewSolver()
 	victimDemands := victimRing(f, victims, cfg, rng)
-	isolated, err := measurePhase(f, cfg, victimDemands, nil, victims, rng, true, solutions, topo)
+	isolated, err := measurePhase(solver, f, cfg, victimDemands, nil, victims, rng, true, solutions, topo)
 	if err != nil {
 		return GPCNeTResult{}, err
 	}
 	congestorDemands := buildCongestors(f, congestors, cfg, rng)
 	// Fresh victim demand objects (the solver mutates rates).
 	victimDemands = victimRing(f, victims, cfg, rng)
-	congested, err := measurePhase(f, cfg, victimDemands, congestorDemands, victims, rng, cfg.CongestionControl, solutions, topo)
+	congested, err := measurePhase(solver, f, cfg, victimDemands, congestorDemands, victims, rng, cfg.CongestionControl, solutions, topo)
 	if err != nil {
 		return GPCNeTResult{}, err
 	}
@@ -141,17 +143,22 @@ func victimRing(f *fabric.Fabric, victims []int, cfg GPCNeTConfig, rng *rand.Ran
 	ring := append([]int(nil), victims...)
 	rng.Shuffle(len(ring), func(i, j int) { ring[i], ring[j] = ring[j], ring[i] })
 	cap := victimCap(f, cfg)
-	var demands []*Demand
+	arena := fabric.NewPathArena()
+	// One slab for the Demand objects, sized for every rank, so the
+	// pointers handed out stay valid.
+	slab := make([]Demand, 0, len(ring)*cfg.PPN)
+	demands := make([]*Demand, 0, len(ring)*cfg.PPN)
 	for i, n := range ring {
 		next := ring[(i+1)%len(ring)]
 		for r := 0; r < cfg.PPN; r++ {
 			src := f.NodeEndpoint(n, r)
 			dst := f.NodeEndpoint(next, r)
-			ps, err := f.AdaptivePaths(src, dst, cfg.ValiantPaths, rng)
+			ps, err := arena.AdaptivePaths(f, src, dst, cfg.ValiantPaths, rng)
 			if err != nil {
 				continue
 			}
-			demands = append(demands, &Demand{Src: src, Dst: dst, Paths: ps.Paths, Cap: cap})
+			slab = append(slab, Demand{Src: src, Dst: dst, Paths: ps.Paths, Cap: cap})
+			demands = append(demands, &slab[len(slab)-1])
 		}
 	}
 	return demands
@@ -162,11 +169,14 @@ func victimRing(f *fabric.Fabric, victims []int, cfg GPCNeTConfig, rng *rand.Ran
 // incasts. Congestors are deliberately uncapped — with hardware CC the
 // fabric itself pushes them back to their bottleneck share.
 func buildCongestors(f *fabric.Fabric, congestors []int, cfg GPCNeTConfig, rng *rand.Rand) []*Demand {
-	var demands []*Demand
+	arena := fabric.NewPathArena()
 	nicRanks := f.Cfg.NICsPerNode
 	if cfg.PPN < nicRanks {
 		nicRanks = cfg.PPN
 	}
+	// No congestor node sends more than nicRanks demands.
+	slab := make([]Demand, 0, len(congestors)*nicRanks)
+	demands := make([]*Demand, 0, len(congestors)*nicRanks)
 	for i, n := range congestors {
 		switch (i / 16) % 2 {
 		case 0: // all-to-all: each node fires at a random other congestor
@@ -177,11 +187,12 @@ func buildCongestors(f *fabric.Fabric, congestors []int, cfg GPCNeTConfig, rng *
 				}
 				src := f.NodeEndpoint(n, r)
 				dst := f.NodeEndpoint(peer, r)
-				ps, err := f.AdaptivePaths(src, dst, cfg.ValiantPaths, rng)
+				ps, err := arena.AdaptivePaths(f, src, dst, cfg.ValiantPaths, rng)
 				if err != nil {
 					continue
 				}
-				demands = append(demands, &Demand{Src: src, Dst: dst, Paths: ps.Paths})
+				slab = append(slab, Demand{Src: src, Dst: dst, Paths: ps.Paths})
+				demands = append(demands, &slab[len(slab)-1])
 			}
 		case 1: // incast: blocks of 16 nodes target the block leader
 			leader := congestors[(i/16)*16]
@@ -190,23 +201,25 @@ func buildCongestors(f *fabric.Fabric, congestors []int, cfg GPCNeTConfig, rng *
 			}
 			src := f.NodeEndpoint(n, 0)
 			dst := f.NodeEndpoint(leader, 0)
-			ps, err := f.AdaptivePaths(src, dst, cfg.ValiantPaths, rng)
+			ps, err := arena.AdaptivePaths(f, src, dst, cfg.ValiantPaths, rng)
 			if err != nil {
 				continue
 			}
-			demands = append(demands, &Demand{Src: src, Dst: dst, Paths: ps.Paths})
+			slab = append(slab, Demand{Src: src, Dst: dst, Paths: ps.Paths})
+			demands = append(demands, &slab[len(slab)-1])
 		}
 	}
 	return demands
 }
 
-// measurePhase solves the combined traffic and extracts victim stats. cc
-// reports whether hardware congestion control protects this phase.
-func measurePhase(f *fabric.Fabric, cfg GPCNeTConfig, victims, congestors []*Demand, victimNodes []int, rng *rand.Rand, cc bool, solutions *SolutionCache, topo string) (GPCNeTPhase, error) {
+// measurePhase solves the combined traffic on s and extracts victim
+// stats. cc reports whether hardware congestion control protects this
+// phase.
+func measurePhase(s *Solver, f *fabric.Fabric, cfg GPCNeTConfig, victims, congestors []*Demand, victimNodes []int, rng *rand.Rand, cc bool, solutions *SolutionCache, topo string) (GPCNeTPhase, error) {
 	all := make([]*Demand, 0, len(victims)+len(congestors))
 	all = append(all, victims...)
 	all = append(all, congestors...)
-	if err := solveCached(f, all, solutions, topo); err != nil {
+	if err := solveCached(s, f, all, solutions, topo); err != nil {
 		return GPCNeTPhase{}, err
 	}
 	// Head-of-line blocking without CC: victim flows crossing saturated
@@ -221,14 +234,17 @@ func measurePhase(f *fabric.Fabric, cfg GPCNeTConfig, victims, congestors []*Dem
 			hol = math.Min(1, float64(cfg.PPN-8)/24) * 0.45
 		}
 	}
-	var load map[int]float64
-	congested := map[int]bool{}
+	// The marking reads dense per-link scratch: used is LinkLoad's
+	// accumulation before the division by capacity.
+	var congested []bool
 	if hol > 0 {
-		load = LinkLoad(f, all)
+		used := make([]float64, len(f.Links))
+		accumulateLinkUse(used, nil, all)
+		congested = make([]bool, len(f.Links))
 		for _, d := range congestors {
 			for _, p := range d.Paths {
 				for _, lid := range p {
-					if load[lid] > 0.98 && f.Links[lid].Kind != fabric.Injection {
+					if c, _ := f.LinkCapUp(lid); used[lid]/c > 0.98 && f.Links[lid].Kind != fabric.Injection {
 						congested[lid] = true
 					}
 				}
@@ -271,9 +287,11 @@ func measurePhase(f *fabric.Fabric, cfg GPCNeTConfig, victims, congestors []*Dem
 		lm.QueueMean = units.Seconds(float64(lm.QueueMean) * (1 + 6*hol))
 		lm.DeepQueueProb = math.Min(0.5, lm.DeepQueueProb*(1+10*hol))
 	}
-	var eps []int
+	eps := make([]int, 0, len(victimNodes)*f.Cfg.NICsPerNode)
 	for _, n := range victimNodes {
-		eps = append(eps, f.NodeEndpoints(n)...)
+		for k := 0; k < f.Cfg.NICsPerNode; k++ {
+			eps = append(eps, f.NodeEndpoint(n, k))
+		}
 	}
 	lat, err := lm.MeasureLatency(eps, cfg.LatencySamples)
 	if err != nil {

@@ -125,13 +125,9 @@ func (sol *Solution) Apply(demands []*Demand) bool {
 			return false
 		}
 	}
+	sizeSubRates(demands)
 	for i, d := range demands {
 		d.Rate = sol.Rates[i]
-		if cap(d.SubRates) >= len(d.Paths) {
-			d.SubRates = d.SubRates[:len(d.Paths)]
-		} else {
-			d.SubRates = make([]float64, len(d.Paths))
-		}
 		copy(d.SubRates, sol.subRates[sol.subStart[i]:sol.subStart[i+1]])
 	}
 	return true
@@ -244,19 +240,19 @@ func (c *SolutionCache) Store(f *fabric.Fabric, topo string, sig Signature, dema
 	return sol
 }
 
-// solveCached solves demands, serving from (and populating) the
+// solveCached solves demands on s, serving from (and populating) the
 // solution cache by literal demand signature when one is provided. A
 // hit applies the stored allocation — bit-for-bit what the skipped
 // solve would have written — and never touches the water-filling heap.
-func solveCached(f *fabric.Fabric, demands []*Demand, solutions *SolutionCache, topo string) error {
+func solveCached(s *Solver, f *fabric.Fabric, demands []*Demand, solutions *SolutionCache, topo string) error {
 	if solutions == nil {
-		return Solve(f, demands)
+		return s.Solve(f, demands)
 	}
 	sig := DemandSignature(demands)
 	if sol, ok := solutions.Lookup(f, topo, sig); ok && sol.Apply(demands) {
 		return nil
 	}
-	if err := Solve(f, demands); err != nil {
+	if err := s.Solve(f, demands); err != nil {
 		return err
 	}
 	solutions.Store(f, topo, sig, demands)

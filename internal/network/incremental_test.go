@@ -459,7 +459,7 @@ func TestSolutionCacheNil(t *testing.T) {
 	if st := c.Stats(); st != (SolutionCacheStats{}) {
 		t.Errorf("nil cache stats = %+v, want zero", st)
 	}
-	if err := solveCached(f, demands, nil, ""); err != nil {
+	if err := solveCached(NewSolver(), f, demands, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -474,11 +474,11 @@ func TestSolveCachedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewSolutionCache(0)
-	if err := solveCached(f, demands, c, ""); err != nil { // miss: solves and stores
+	if err := solveCached(NewSolver(), f, demands, c, ""); err != nil { // miss: solves and stores
 		t.Fatal(err)
 	}
 	warm := cloneDemands(demands)
-	if err := solveCached(f, warm, c, ""); err != nil { // hit: applies stored
+	if err := solveCached(NewSolver(), f, warm, c, ""); err != nil { // hit: applies stored
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {

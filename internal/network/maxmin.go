@@ -57,12 +57,28 @@ func Solve(f *fabric.Fabric, demands []*Demand) error {
 func LinkLoad(f *fabric.Fabric, demands []*Demand) map[int]float64 {
 	used := make([]float64, len(f.Links))
 	seen := make([]bool, len(f.Links))
+	touched := accumulateLinkUse(used, seen, demands)
+	out := make(map[int]float64, touched)
+	for lid, ok := range seen {
+		if ok {
+			c, _ := f.LinkCapUp(lid)
+			out[lid] = used[lid] / c
+		}
+	}
+	return out
+}
+
+// accumulateLinkUse adds every demand's solved subflow rates into used,
+// indexed by fabric link id, in demand, path and link order. When seen is
+// non-nil it marks each link crossed and the count of newly marked links
+// is returned.
+func accumulateLinkUse(used []float64, seen []bool, demands []*Demand) int {
 	touched := 0
 	for _, d := range demands {
 		for pi, p := range d.Paths {
 			r := d.SubRates[pi]
 			for _, lid := range p {
-				if !seen[lid] {
+				if seen != nil && !seen[lid] {
 					seen[lid] = true
 					touched++
 				}
@@ -70,11 +86,5 @@ func LinkLoad(f *fabric.Fabric, demands []*Demand) map[int]float64 {
 			}
 		}
 	}
-	out := make(map[int]float64, touched)
-	for lid, ok := range seen {
-		if ok {
-			out[lid] = used[lid] / f.Links[lid].Cap
-		}
-	}
-	return out
+	return touched
 }

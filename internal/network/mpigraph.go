@@ -93,20 +93,22 @@ func RunMpiGraph(f *fabric.Fabric, cfg MpiGraphConfig, rng *rand.Rand) (MpiGraph
 // output) depend on the stream having advanced exactly as if the shift
 // were computed cold; only the water-filling solve is skipped. topo is
 // the canonical topology address (machine.Hash) used in cache keys, or
-// "" to restrict hits to this exact fabric instance.
+// "" to restrict hits to this exact fabric instance. One Solver serves
+// every shift of the run, so its buffers are grown once, not per solve.
 func RunMpiGraphWithCache(f *fabric.Fabric, cfg MpiGraphConfig, rng *rand.Rand, solutions *SolutionCache, topo string) (MpiGraphResult, error) {
 	nodes, ranks, shifts, err := cfg.resolve(f)
 	if err != nil {
 		return MpiGraphResult{}, err
 	}
 	order := sampleShifts(nodes, shifts, rng)
-	var result MpiGraphResult
+	result := MpiGraphResult{Samples: make([]float64, 0, len(order)*nodes*ranks)}
+	solver := NewSolver()
 	for _, s := range order {
 		demands, err := buildShiftDemands(f, nodes, ranks, s, cfg.ValiantPaths, rng)
 		if err != nil {
 			return MpiGraphResult{}, err
 		}
-		if err := solveCached(f, demands, solutions, topo); err != nil {
+		if err := solveCached(solver, f, demands, solutions, topo); err != nil {
 			return MpiGraphResult{}, err
 		}
 		for _, d := range demands {
@@ -164,15 +166,16 @@ func sampleShifts(nodes, shifts int, rng *rand.Rand) []int {
 // buildShiftDemands constructs one shift's demand set for
 // RunMpiGraphWithCache: rank k of node i sends to rank k of node i+s,
 // each pair routed by AdaptivePaths with valiant detours drawn from the
-// census's shared rng.
+// census's shared rng. Every pair's path set comes from one PathArena.
 func buildShiftDemands(f *fabric.Fabric, nodes, ranks, s, valiant int, rng *rand.Rand) ([]*Demand, error) {
 	// One slab allocation for the Demand objects themselves: a full-scale
-	// shift is ~75k demands, and a per-demand heap object apiece was a
+	// shift is ~38k demands, and a per-demand heap object apiece was a
 	// visible slice of the census's allocation bill. The slab is sized
 	// exactly (s in [1, nodes) means j == i never fires), so the pointers
 	// handed out below stay valid.
 	slab := make([]Demand, 0, nodes*ranks)
 	demands := make([]*Demand, 0, nodes*ranks)
+	arena := fabric.NewPathArena()
 	for i := 0; i < nodes; i++ {
 		j := (i + s) % nodes
 		if j == i {
@@ -181,7 +184,7 @@ func buildShiftDemands(f *fabric.Fabric, nodes, ranks, s, valiant int, rng *rand
 		for k := 0; k < ranks; k++ {
 			src := f.NodeEndpoint(i, k)
 			dst := f.NodeEndpoint(j, k)
-			ps, err := f.AdaptivePaths(src, dst, valiant, rng)
+			ps, err := arena.AdaptivePaths(f, src, dst, valiant, rng)
 			if err != nil {
 				return nil, err
 			}

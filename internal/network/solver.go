@@ -21,15 +21,16 @@ import (
 // with an epoch-stamped dense slice: fabric link ids are dense ints, so a
 // versioned slice gives O(1) lookup with no clearing between solves — a
 // slot is valid only when its stamp matches the current solve's epoch.
+// Stamp and index share one 8-byte slot, so a lookup touches one cache
+// line, not two.
 //
 // A Solver also remembers the problem it last built (fabric, demand set,
 // CSR adjacency, degree snapshot), which is what SolveDelta warm-starts
 // from after fabric link-state changes.
 type Solver struct {
-	// idx[lid] is the arena index of fabric link lid, valid iff
-	// stamp[lid] == epoch. Neither slice is cleared between solves.
-	idx   []int32
-	stamp []uint32
+	// slots[lid].idx is the arena index of fabric link lid, valid iff
+	// slots[lid].stamp == epoch. Slots are not cleared between solves.
+	slots []linkSlot
 	epoch uint32
 
 	// Per-link state, indexed by arena link index. Demand-cap
@@ -42,13 +43,18 @@ type Solver struct {
 	linkSubs   []int32 // subflow indices, grouped by link
 	cursor     []int32 // scratch fill cursor for the CSR pass
 
-	// Per-subflow state, indexed by subflow index.
+	// Per-subflow state, indexed by subflow index. Subflows are numbered
+	// demand by demand, path by path, so demand d's are contiguous.
 	subDemand []int32
-	subPath   []int32
-	subPseudo []int32 // arena index of the cap pseudo-link, or -1
 	subStart  []int32 // CSR offsets into subLinks (len nsubs+1)
-	subLinks  []int32 // arena link indices, grouped by subflow
-	frozen    []bool
+	subLinks  []int32 // arena link indices, grouped by subflow, cap pseudo-link last
+	// subRate and demRate hold the fill's per-subflow and per-demand
+	// rates in dense arrays; fill copies them onto the demands once it
+	// completes, so the freeze loop never chases a Demand pointer. A
+	// subflow is frozen once its rate is set: rates are never negative,
+	// so unfrozen subflows hold -1.
+	subRate []float64
+	demRate []float64
 
 	heap []boundEntry
 
@@ -61,6 +67,12 @@ type Solver struct {
 	lastDemands []*Demand
 }
 
+// linkSlot maps one fabric link to its arena index for one solve.
+type linkSlot struct {
+	stamp uint32
+	idx   int32
+}
+
 // NewSolver returns an empty solver arena.
 func NewSolver() *Solver { return &Solver{} }
 
@@ -70,41 +82,34 @@ var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
 // reset prepares the arena for a solve over a fabric with numLinks links.
 func (s *Solver) reset(numLinks int) {
-	if len(s.stamp) < numLinks {
-		s.stamp = make([]uint32, numLinks)
-		s.idx = make([]int32, numLinks)
+	if len(s.slots) < numLinks {
+		s.slots = make([]linkSlot, numLinks)
 		s.epoch = 0
 	}
 	s.epoch++
 	if s.epoch == 0 { // stamp wrap: invalidate every slot once per 2^32 solves
-		for i := range s.stamp {
-			s.stamp[i] = 0
+		for i := range s.slots {
+			s.slots[i].stamp = 0
 		}
 		s.epoch = 1
 	}
-	s.linkCap = s.linkCap[:0]
-	s.linkCount = s.linkCount[:0]
-	s.subDemand = s.subDemand[:0]
-	s.subPath = s.subPath[:0]
-	s.subPseudo = s.subPseudo[:0]
-	s.subLinks = s.subLinks[:0]
-	s.subStart = s.subStart[:0]
-	s.heap = s.heap[:0]
 }
 
 // grow returns buf resized to n, reusing its backing array when possible.
-func growI32(buf []int32, n int) []int32 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int32, n)
+	return make([]T, n)
 }
 
-func growF64(buf []float64, n int) []float64 {
+// reserve returns buf emptied with room for n elements, so appending up
+// to n never reallocates.
+func reserve[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
-		return buf[:n]
+		return buf[:0]
 	}
-	return make([]float64, n)
+	return make([]T, 0, n)
 }
 
 // zeroDemandRates clears every demand's allocation so error paths never
@@ -184,17 +189,18 @@ func (s *Solver) SolveDelta(f *fabric.Fabric, demands []*Demand, changed []int) 
 	}
 	dirty := false
 	for _, lid := range changed {
-		if lid < 0 || lid >= len(s.stamp) || s.stamp[lid] != s.epoch {
+		if lid < 0 || lid >= len(s.slots) || s.slots[lid].stamp != s.epoch {
 			continue // link carries no subflow of this problem
 		}
-		if !f.Links[lid].Up {
+		c, up := f.LinkCapUp(lid)
+		if !up {
 			return s.Solve(f, demands)
 		}
 		// Conservative: a problem link that bounced (failed and was
 		// restored) is treated as dirty even though its capacity is
 		// unchanged today — the re-fill is bit-identical either way, and
 		// future cap-mutating fabric events stay correct for free.
-		s.linkCap[s.idx[lid]] = f.Links[lid].Cap
+		s.linkCap[s.slots[lid].idx] = c
 		dirty = true
 	}
 	s.lastEpoch = f.StateEpoch()
@@ -223,57 +229,75 @@ func sameDemands(a, b []*Demand) bool {
 	return true
 }
 
-// build runs the two construction passes: validate demands, assign arena
-// link indices in first-encounter order (pseudo-links interleave after
-// each capped path, exactly as the original append order did), count
-// per-link degrees, and fill the link→subflow / subflow→link CSR arrays.
-// On success linkCount0 snapshots the degrees so fill can re-run without
-// rebuilding.
+// build runs the two construction passes. The first validates demands,
+// assigns arena link indices in first-encounter order (pseudo-links
+// interleave after each capped path, exactly as the original append
+// order did), counts per-link degrees and records each subflow's arena
+// links. The second scatters the subflows into the link→subflow CSR
+// array, reading only that record. On success linkCount0 snapshots the
+// degrees so fill can re-run without rebuilding.
+//
+// Every demand's SubRates is sized to its paths first (sizeSubRates).
 func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
+	sizeSubRates(demands)
+	// Size the appended arrays for this demand set up front: a fresh
+	// Solver building a census shift would otherwise regrow them by
+	// doubling, copying and discarding twice what they end up holding.
+	nsubs, nrefs, npseudo := 0, 0, 0
+	for _, d := range demands {
+		nsubs += len(d.Paths)
+		for _, p := range d.Paths {
+			nrefs += len(p)
+		}
+		if d.Cap > 0 {
+			npseudo += len(d.Paths)
+		}
+	}
+	s.subStart = reserve(s.subStart, nsubs+1)
+	s.subDemand = reserve(s.subDemand, nsubs)
+	s.subLinks = reserve(s.subLinks, nrefs+npseudo)
+	maxLinks := min(nrefs, len(f.Links)) + npseudo
+	s.linkCap = reserve(s.linkCap, maxLinks)
+	s.linkCount = reserve(s.linkCount, maxLinks)
 	for di, d := range demands {
 		if len(d.Paths) == 0 {
 			return fmt.Errorf("network: demand %d (%d->%d) has no paths", di, d.Src, d.Dst)
 		}
-		if cap(d.SubRates) >= len(d.Paths) {
-			d.SubRates = d.SubRates[:len(d.Paths)]
-		} else {
-			d.SubRates = make([]float64, len(d.Paths))
-		}
-		for pi, p := range d.Paths {
+		for _, p := range d.Paths {
+			s.subStart = append(s.subStart, int32(len(s.subLinks)))
 			for _, lid := range p {
-				if s.stamp[lid] != s.epoch {
-					fl := f.Links[lid]
-					if !fl.Up {
+				sl := &s.slots[lid]
+				if sl.stamp != s.epoch {
+					c, up := f.LinkCapUp(lid)
+					if !up {
 						return fmt.Errorf("network: demand %d routed over down link %d", di, lid)
 					}
-					s.idx[lid] = int32(len(s.linkCap))
-					s.stamp[lid] = s.epoch
-					s.linkCap = append(s.linkCap, fl.Cap)
+					sl.idx = int32(len(s.linkCap))
+					sl.stamp = s.epoch
+					s.linkCap = append(s.linkCap, c)
 					s.linkCount = append(s.linkCount, 0)
 				}
-				s.linkCount[s.idx[lid]]++
+				s.linkCount[sl.idx]++
+				s.subLinks = append(s.subLinks, sl.idx)
 			}
-			pseudo := int32(-1)
 			if d.Cap > 0 {
 				// Pseudo-link private to this subflow, enforcing the
 				// demand cap split evenly across its paths.
-				pseudo = int32(len(s.linkCap))
+				s.subLinks = append(s.subLinks, int32(len(s.linkCap)))
 				s.linkCap = append(s.linkCap, d.Cap/float64(len(d.Paths)))
 				s.linkCount = append(s.linkCount, 1)
 			}
 			s.subDemand = append(s.subDemand, int32(di))
-			s.subPath = append(s.subPath, int32(pi))
-			s.subPseudo = append(s.subPseudo, pseudo)
 		}
 	}
+	s.subStart = append(s.subStart, int32(len(s.subLinks)))
 	nlinks := len(s.linkCap)
-	nsubs := len(s.subDemand)
 
-	// Prefix sums over the degrees give the CSR offsets; the fill pass
-	// revisits the demands in the same order, so every link's subflow
-	// list ends up in exactly the order the original built by appends.
-	s.linkStart = growI32(s.linkStart, nlinks+1)
-	s.cursor = growI32(s.cursor, nlinks)
+	// Prefix sums over the degrees give the CSR offsets; the scatter
+	// visits subflows in build order, so every link's subflow list ends
+	// up in exactly the order the original built by appends.
+	s.linkStart = grow(s.linkStart, nlinks+1)
+	s.cursor = grow(s.cursor, nlinks)
 	total := int32(0)
 	for li := 0; li < nlinks; li++ {
 		s.linkStart[li] = total
@@ -281,55 +305,68 @@ func (s *Solver) build(f *fabric.Fabric, demands []*Demand) error {
 		total += s.linkCount[li]
 	}
 	s.linkStart[nlinks] = total
-	s.linkSubs = growI32(s.linkSubs, int(total))
-	s.subStart = growI32(s.subStart, nsubs+1)
-
-	si := int32(0)
-	for _, d := range demands {
-		for _, p := range d.Paths {
-			s.subStart[si] = int32(len(s.subLinks))
-			for _, lid := range p {
-				li := s.idx[lid]
-				s.linkSubs[s.cursor[li]] = si
-				s.cursor[li]++
-				s.subLinks = append(s.subLinks, li)
-			}
-			if pseudo := s.subPseudo[si]; pseudo >= 0 {
-				s.linkSubs[s.cursor[pseudo]] = si
-				s.cursor[pseudo]++
-				s.subLinks = append(s.subLinks, pseudo)
-			}
-			si++
+	s.linkSubs = grow(s.linkSubs, int(total))
+	for si := 0; si < nsubs; si++ {
+		for _, li := range s.subLinks[s.subStart[si]:s.subStart[si+1]] {
+			s.linkSubs[s.cursor[li]] = int32(si)
+			s.cursor[li]++
 		}
 	}
-	s.subStart[nsubs] = int32(len(s.subLinks))
 
-	s.linkCount0 = growI32(s.linkCount0, nlinks)
+	s.linkCount0 = grow(s.linkCount0, nlinks)
 	copy(s.linkCount0, s.linkCount)
 	return nil
 }
 
+// sizeSubRates sets every demand's SubRates to one slot per path. A
+// slice with the capacity is reused; the rest are carved from one slab
+// per demand set, as full-capacity slices, instead of one allocation per
+// demand: a census shift has ~38k fresh demands.
+func sizeSubRates(demands []*Demand) {
+	short := 0
+	for _, d := range demands {
+		if cap(d.SubRates) < len(d.Paths) {
+			short += len(d.Paths)
+		}
+	}
+	var slab []float64
+	if short > 0 {
+		slab = make([]float64, short)
+	}
+	for _, d := range demands {
+		n := len(d.Paths)
+		if cap(d.SubRates) >= n {
+			d.SubRates = d.SubRates[:n]
+		} else {
+			d.SubRates, slab = slab[:n:n], slab[n:]
+		}
+	}
+}
+
 // fill runs the water-filling freeze loop over the built CSR arrays:
 // restore per-link degrees from the build-time snapshot, zero usage and
-// every demand's rates, then repeatedly freeze the subflows crossing the
-// tightest bottleneck. Both Solve and SolveDelta funnel through here, so
-// a re-fill after a delta performs exactly the floating-point operation
+// the dense rates, repeatedly freeze the subflows crossing the tightest
+// bottleneck, then write the rates onto the demands. It writes no demand
+// when it fails. Both Solve and SolveDelta funnel through here, so a
+// re-fill after a delta performs exactly the floating-point operation
 // sequence a cold solve of the same problem would.
 func (s *Solver) fill(demands []*Demand) error {
 	nlinks := len(s.linkCap)
 	nsubs := len(s.subDemand)
 
-	s.linkCount = growI32(s.linkCount, nlinks)
+	s.linkCount = grow(s.linkCount, nlinks)
 	copy(s.linkCount, s.linkCount0[:nlinks])
-	s.linkUsed = growF64(s.linkUsed, nlinks)
+	s.linkUsed = grow(s.linkUsed, nlinks)
 	for li := range s.linkUsed {
 		s.linkUsed[li] = 0
 	}
-	for _, d := range demands {
-		d.Rate = 0
-		for i := range d.SubRates {
-			d.SubRates[i] = 0
-		}
+	s.subRate = grow(s.subRate, nsubs)
+	for si := range s.subRate {
+		s.subRate[si] = -1
+	}
+	s.demRate = grow(s.demRate, len(demands))
+	for di := range s.demRate {
+		s.demRate[di] = 0
 	}
 
 	// Lazy heap of (bound, link): bounds only grow as flows freeze, so a
@@ -344,19 +381,13 @@ func (s *Solver) fill(demands []*Demand) error {
 		}
 		return b
 	}
-	s.heap = s.heap[:0]
+	// Every pop pushes at most one entry back, so the heap never holds
+	// more than one entry per link.
+	s.heap = reserve(s.heap, nlinks)
 	for li := 0; li < nlinks; li++ {
 		s.heapPush(boundEntry{bound(int32(li)), int32(li)})
 	}
 
-	if cap(s.frozen) >= nsubs {
-		s.frozen = s.frozen[:nsubs]
-		for i := range s.frozen {
-			s.frozen[i] = false
-		}
-	} else {
-		s.frozen = make([]bool, nsubs)
-	}
 	remaining := nsubs
 	for remaining > 0 && len(s.heap) > 0 {
 		e := s.heapPop()
@@ -371,14 +402,12 @@ func (s *Solver) fill(demands []*Demand) error {
 		level := cur
 		// Freeze every unfrozen subflow crossing the bottleneck.
 		for _, fsi := range s.linkSubs[s.linkStart[e.link]:s.linkStart[e.link+1]] {
-			if s.frozen[fsi] {
+			if s.subRate[fsi] >= 0 {
 				continue
 			}
-			s.frozen[fsi] = true
+			s.subRate[fsi] = level
 			remaining--
-			d := demands[s.subDemand[fsi]]
-			d.SubRates[s.subPath[fsi]] = level
-			d.Rate += level
+			s.demRate[s.subDemand[fsi]] += level
 			for _, li := range s.subLinks[s.subStart[fsi]:s.subStart[fsi+1]] {
 				s.linkUsed[li] += level
 				s.linkCount[li]--
@@ -389,6 +418,13 @@ func (s *Solver) fill(demands []*Demand) error {
 	}
 	if remaining > 0 {
 		return fmt.Errorf("network: solver left %d subflows unallocated", remaining)
+	}
+	si := 0
+	for di, d := range demands {
+		n := len(d.Paths)
+		d.Rate = s.demRate[di]
+		copy(d.SubRates, s.subRate[si:si+n])
+		si += n
 	}
 	return nil
 }

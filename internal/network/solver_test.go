@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"frontiersim/internal/fabric"
@@ -390,6 +391,31 @@ func TestLinkLoadMatchesMapAccumulation(t *testing.T) {
 	for lid, w := range want {
 		if g := got[lid]; g != w {
 			t.Errorf("link %d: got %.12g want %.12g", lid, g, w)
+		}
+	}
+}
+
+// A build carves the SubRates of demands that lack them from one slab,
+// as full-capacity slices: appending to one demand's rates leaves the
+// next demand's intact.
+func TestSolveSlabSubRatesAppendIsolated(t *testing.T) {
+	f := smallFabric(t)
+	rng := rand.New(rand.NewSource(50))
+	demands := randomDemands(t, f, rng, 20)
+	if err := NewSolver().Solve(f, demands); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float64, len(demands))
+	for i, d := range demands {
+		if cap(d.SubRates) != len(d.Paths) || len(d.SubRates) != len(d.Paths) {
+			t.Fatalf("demand %d: SubRates len %d cap %d for %d paths", i, len(d.SubRates), cap(d.SubRates), len(d.Paths))
+		}
+		want[i] = append([]float64(nil), d.SubRates...)
+	}
+	for i := 0; i+1 < len(demands); i++ {
+		demands[i].SubRates = append(demands[i].SubRates, -1, -1)
+		if got := demands[i+1].SubRates; !slices.Equal(got, want[i+1]) {
+			t.Fatalf("appending to demand %d changed demand %d: %v -> %v", i, i+1, want[i+1], got)
 		}
 	}
 }
