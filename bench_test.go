@@ -594,7 +594,7 @@ func BenchmarkPlacementSignature(b *testing.B) {
 // BenchmarkBind measures Env.Bind on the year-campaign pricing path:
 // hit serves a warm pricing cache; miss starts each bind with an empty
 // cache, so it pays the signature, communicator construction, the
-// sub-communicator splits, every phase's pricing and the store.
+// rank-0 sub-communicators, every phase's pricing and the store.
 func BenchmarkBind(b *testing.B) {
 	env, prog, nodes := benchYearEnv(b)
 	b.Run("hit", func(b *testing.B) {

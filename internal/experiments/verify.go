@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"time"
+
+	"frontiersim/internal/report"
 )
 
 // Envelopes returns the acceptable worst-case |paper-vs-measured|
@@ -39,8 +42,13 @@ type VerifyResult struct {
 	ID             string
 	WorstDeviation float64
 	Envelope       float64
-	Pass           bool
-	Err            error
+	// Bounds counts the table's bound rows ("<= 1.0", "<20 MW/EF");
+	// BrokenBounds names those the measured value breaks. A broken
+	// bound fails the experiment whatever its envelope.
+	Bounds       int
+	BrokenBounds []string
+	Pass         bool
+	Err          error
 	// Duration is the check's wall time as measured by the harness, so
 	// CI logs show which experiments dominate the verify sweep.
 	Duration time.Duration
@@ -56,16 +64,29 @@ func (v VerifyResult) String() string {
 	if v.Err != nil {
 		return fmt.Sprintf("%-20s %s  (%v)", v.ID, status, v.Err)
 	}
-	if v.Envelope == 0 {
-		return fmt.Sprintf("%-20s %s  (no numeric paper rows)  [%v]", v.ID, status, dur)
+	bounds := ""
+	switch {
+	case len(v.BrokenBounds) > 0:
+		bounds = fmt.Sprintf("bounds broken: %s", strings.Join(v.BrokenBounds, ", "))
+	case v.Bounds > 0:
+		bounds = fmt.Sprintf("%d bound(s) hold", v.Bounds)
 	}
-	return fmt.Sprintf("%-20s %s  worst deviation %5.1f%% (envelope %.0f%%)  [%v]",
-		v.ID, status, v.WorstDeviation*100, v.Envelope*100, dur)
+	if v.Envelope == 0 {
+		if bounds == "" {
+			bounds = "no numeric paper rows"
+		}
+		return fmt.Sprintf("%-20s %s  (%s)  [%v]", v.ID, status, bounds, dur)
+	}
+	if bounds != "" {
+		bounds = "; " + bounds
+	}
+	return fmt.Sprintf("%-20s %s  worst deviation %5.1f%% (envelope %.0f%%%s)  [%v]",
+		v.ID, status, v.WorstDeviation*100, v.Envelope*100, bounds, dur)
 }
 
 // Verify runs every registered experiment on the parallel harness and
-// checks it against its envelope. An experiment with no envelope passes
-// if it runs.
+// checks it against its envelope and its bound rows. An experiment with
+// no envelope and no broken bound passes if it runs.
 func Verify(o Options) []VerifyResult {
 	return VerifyContext(context.Background(), o, RunConfig{})
 }
@@ -84,12 +105,20 @@ func VerifyContext(ctx context.Context, o Options, cfg RunConfig) []VerifyResult
 			out[i] = res
 			continue
 		}
-		res.WorstDeviation = r.Table.MaxAbsDeviation()
-		res.Pass = res.Envelope == 0 || res.WorstDeviation <= res.Envelope ||
-			math.IsNaN(res.WorstDeviation)
+		res.judge(r.Table)
 		out[i] = res
 	}
 	return out
+}
+
+// judge checks a table against the result's envelope and its own bound
+// rows: every point row within the envelope (none is checked without
+// one) and no bound broken.
+func (v *VerifyResult) judge(t *report.Table) {
+	v.WorstDeviation = t.MaxAbsDeviation()
+	v.Bounds, v.BrokenBounds = t.Bounds()
+	v.Pass = (v.Envelope == 0 || v.WorstDeviation <= v.Envelope ||
+		math.IsNaN(v.WorstDeviation)) && len(v.BrokenBounds) == 0
 }
 
 // AllPass reports whether every result passed.

@@ -78,7 +78,7 @@ func NewClos(cfg ClosConfig) (*Fabric, error) {
 			f.ejectLink = append(f.ejectLink, f.addLink(Ejection, s, ep, epCap))
 		}
 	}
-	if err := f.checkLinks(nlinks); err != nil {
+	if err := f.finish(nlinks); err != nil {
 		return nil, err
 	}
 	return f, nil

@@ -121,6 +121,11 @@ type Fabric struct {
 	endpointSwitch []int
 	injectLink     []int
 	ejectLink      []int
+	// nodeGroup[n] is the group of compute node n's first NIC, the
+	// group every node-level count (GroupsSpanned, placement
+	// signatures) reads. Groups are fixed at construction and no
+	// failure moves a switch, so the table is filled once by finish.
+	nodeGroup []int32
 
 	// uplink and downlink join each leaf to the core in FatTree fabrics.
 	uplink, downlink []int
@@ -232,11 +237,18 @@ func (f *Fabric) allocLinks(n int) {
 	f.linkCap = make([]float64, 0, n)
 }
 
-// checkLinks reports a constructor whose up-front link count disagrees
-// with the links it added.
-func (f *Fabric) checkLinks(n int) error {
+// finish completes a constructor: it reports a constructor whose
+// up-front link count disagrees with the links it added, then fills the
+// node→group table from the cabled endpoints.
+func (f *Fabric) finish(n int) error {
 	if len(f.Links) != n {
 		return fmt.Errorf("fabric: %s built %d links, sized for %d", f.Cfg.Name, len(f.Links), n)
+	}
+	if k := f.Cfg.NICsPerNode; k > 0 {
+		f.nodeGroup = make([]int32, f.Cfg.ComputeNodes())
+		for node := range f.nodeGroup {
+			f.nodeGroup[node] = int32(f.SwitchGroup[f.endpointSwitch[node*k]])
+		}
 	}
 	return nil
 }
@@ -367,7 +379,7 @@ func NewDragonfly(cfg Config) (*Fabric, error) {
 			}
 		}
 	}
-	if err := f.checkLinks(nlinks); err != nil {
+	if err := f.finish(nlinks); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -445,15 +457,21 @@ func (f *Fabric) NodeEndpoint(n, i int) int {
 	return n*f.Cfg.NICsPerNode + i%f.Cfg.NICsPerNode
 }
 
+// NodeGroup returns the group of compute node n, by its first NIC: the
+// same answer as EndpointGroup(NodeEndpoint(n, 0)), read from one dense
+// table instead of two dependent loads. n must be a compute node.
+func (f *Fabric) NodeGroup(n int) int { return int(f.nodeGroup[n]) }
+
 // GroupsSpanned counts the distinct groups hosting the given compute
-// nodes, each node counted by the group of its first NIC. Every node
-// must be in range. The seen-set is a dense bitmap over group ids, so
-// the count costs one small allocation however many nodes it reads.
+// nodes, each node counted by its NodeGroup. Every node must be in
+// range. Groups come from the dense node→group table and the seen-set
+// is a bitmap over group ids, so the count reads one int32 per node
+// and costs one small allocation however many nodes it reads.
 func (f *Fabric) GroupsSpanned(nodes []int) int {
 	seen := make([]uint64, (f.numGroups+63)/64)
 	count := 0
 	for _, n := range nodes {
-		g := f.EndpointGroup(f.NodeEndpoint(n, 0))
+		g := f.nodeGroup[n]
 		if bit := uint64(1) << (g & 63); seen[g>>6]&bit == 0 {
 			seen[g>>6] |= bit
 			count++

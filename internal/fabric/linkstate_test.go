@@ -204,3 +204,45 @@ func TestPathArenaAppendDoesNotClobber(t *testing.T) {
 		}
 	}
 }
+
+// NodeGroup reads the dense node→group table filled at construction.
+// It must give EndpointGroup's answer for every compute node's first
+// NIC, on each topology, and keep giving it after switches and links
+// fail: failures never move a node to another group.
+func TestNodeGroupMatchesEndpointGroup(t *testing.T) {
+	check := func(name string, f *Fabric) {
+		t.Helper()
+		n := f.Cfg.ComputeNodes()
+		for node := 0; node < n; node++ {
+			if got, want := f.NodeGroup(node), f.EndpointGroup(f.NodeEndpoint(node, 0)); got != want {
+				t.Fatalf("%s: NodeGroup(%d) = %d, EndpointGroup = %d", name, node, got, want)
+			}
+		}
+	}
+	frontier, err := NewDragonfly(FrontierConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("frontier", frontier)
+
+	small, err := NewDragonfly(ScaledConfig(5, 4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("scaled", small)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 6; i++ {
+		small.FailSwitch(rng.Intn(small.NumSwitches))
+		small.FailLink(rng.Intn(len(small.Links)))
+		check("scaled after failures", small)
+	}
+
+	clos, err := NewClos(SummitClosConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("clos", clos)
+	if g := clos.GroupsSpanned([]int{0, clos.Cfg.ComputeNodes() - 1}); g != 1 {
+		t.Errorf("clos: GroupsSpanned across the tree = %d, want 1", g)
+	}
+}

@@ -133,25 +133,32 @@ func (e *Env) Bind(p *Program, nodes []int) (*Bound, error) {
 	if len(nodes) != p.Nodes {
 		return nil, fmt.Errorf("job: program %s needs %d nodes, placement has %d", p.Name, p.Nodes, len(nodes))
 	}
-	var key pricingKey
-	keyed := false
 	if e.Cache != nil {
 		if place, ok := e.PlacementSignature(nodes); ok {
-			key = pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: place}
-			keyed = true
+			key := pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: place}
 			if pr, hit := e.Cache.lookup(key); hit {
 				return &Bound{Prog: p, Env: e, Nodes: nodes,
 					SetupTimes: pr.setupTimes, LoopTimes: pr.loopTimes,
-					Total: pr.setupSum + units.Seconds(p.Iterations)*pr.loopSum}, nil
+					Total: pr.total(p)}, nil
 			}
+			return e.price(p, nodes, &key)
 		}
 	}
+	return e.price(p, nodes, nil)
+}
+
+// price binds a validated program cold: it builds the placement's
+// communicator, prices every phase and, when key is non-nil, stores the
+// priced program under it. Bind and Estimate call it after their one
+// cache lookup missed, so a miss is counted once and never looked up
+// again.
+func (e *Env) price(p *Program, nodes []int, key *pricingKey) (*Bound, error) {
 	comm, err := mpi.NewComm(e.Fabric, nodes, p.PPN)
 	if err != nil {
 		return nil, fmt.Errorf("job: binding %s: %w", p.Name, err)
 	}
 	b := &Bound{Prog: p, Env: e, Nodes: nodes, Comm: comm, subs: map[Group]*mpi.Comm{}}
-	price := func(phases []Phase) ([]units.Seconds, units.Seconds, error) {
+	priceAll := func(phases []Phase) ([]units.Seconds, units.Seconds, error) {
 		times := make([]units.Seconds, len(phases))
 		var sum units.Seconds
 		for i, ph := range phases {
@@ -164,25 +171,30 @@ func (e *Env) Bind(p *Program, nodes []int) (*Bound, error) {
 		}
 		return times, sum, nil
 	}
-	var setupSum, loopSum units.Seconds
-	if b.SetupTimes, setupSum, err = price(p.Setup); err != nil {
+	pr := pricedProgram{}
+	if pr.setupTimes, pr.setupSum, err = priceAll(p.Setup); err != nil {
 		return nil, err
 	}
-	if b.LoopTimes, loopSum, err = price(p.Loop); err != nil {
+	if pr.loopTimes, pr.loopSum, err = priceAll(p.Loop); err != nil {
 		return nil, err
 	}
-	b.Total = setupSum + units.Seconds(p.Iterations)*loopSum
-	if keyed {
-		e.Cache.store(key, pricedProgram{
-			setupTimes: b.SetupTimes, loopTimes: b.LoopTimes,
-			setupSum: setupSum, loopSum: loopSum,
-		})
+	b.SetupTimes, b.LoopTimes, b.Total = pr.setupTimes, pr.loopTimes, pr.total(p)
+	if key != nil {
+		e.Cache.store(*key, pr)
 	}
 	return b, nil
 }
 
 // Estimate prices a program on the nominal spread placement — the
 // number a scheduler can quote before any nodes are assigned.
+//
+// With a pricing cache it is one lookup, exactly as Bind on the spread
+// placement would make: the key's placement part is the spread
+// placement's own PlacementSignature, memoized per (CacheKey, node
+// count) because that shape never changes. A hit returns the stored
+// sums without building the placement; a miss prices it cold and
+// stores the entry, which a granted placement of the same shape then
+// hits.
 func (e *Env) Estimate(p *Program) (units.Seconds, error) {
 	if err := e.Validate(); err != nil {
 		return 0, err
@@ -191,7 +203,19 @@ func (e *Env) Estimate(p *Program) (units.Seconds, error) {
 		return 0, fmt.Errorf("job: program %s needs %d nodes, machine has %d",
 			p.Name, p.Nodes, e.Fabric.Cfg.ComputeNodes())
 	}
-	b, err := e.Bind(p, e.SpreadPlacement(p.Nodes))
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	var key *pricingKey
+	if e.Cache != nil {
+		if place, ok := e.Cache.spreadSignature(e, p.Nodes); ok {
+			key = &pricingKey{env: e.CacheKey, prog: ProgramSignature(p), place: place}
+			if pr, hit := e.Cache.lookup(*key); hit {
+				return pr.total(p), nil
+			}
+		}
+	}
+	b, err := e.price(p, e.SpreadPlacement(p.Nodes), key)
 	if err != nil {
 		return 0, err
 	}
@@ -312,8 +336,9 @@ func (b *Bound) collectiveTime(ph Phase) (units.Seconds, error) {
 
 // groupComm returns the sub-communicator for a group, building and
 // caching it on first use. The representative subgroup is the one
-// containing rank 0; under the supported shapes all subgroups are
-// congruent, so one price serves the phase.
+// containing rank 0 — ranks 0..Size-1 of a block group, ranks 0,
+// Stride, 2·Stride, … of a strided one; under the supported shapes all
+// subgroups are congruent, so one price serves the phase.
 func (b *Bound) groupComm(g Group) (*mpi.Comm, error) {
 	ranks := b.Comm.Size()
 	if g.whole(ranks) {
@@ -322,15 +347,9 @@ func (b *Bound) groupComm(g Group) (*mpi.Comm, error) {
 	if c, ok := b.subs[g]; ok {
 		return c, nil
 	}
-	var color func(int) int
-	if g.Stride <= 1 {
-		size := g.Size
-		color = func(r int) int { return r / size }
-	} else {
-		stride := g.Stride
-		color = func(r int) int { return r % stride }
-	}
-	c, err := b.Comm.SplitOne(color, 0)
+	// Validate makes a strided group's Size·Stride cover every rank, so
+	// both shapes take exactly Size ranks.
+	c, err := b.Comm.RankGroup(max(g.Stride, 1), g.Size)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func ProgramSignature(p *Program) Sig {
 
 // PlacementSignature canonicalizes a placement for pricing: the
 // per-node dragonfly-group sequence with groups relabeled by first
-// appearance (the same EndpointGroup mapping mpi.NewComm uses), plus
+// appearance (the same Fabric.NodeGroup mapping mpi.NewComm uses), plus
 // the node count. Placements that are isomorphic under group relabeling
 // share a signature; placements whose ranks interleave groups
 // differently (different comm-group layout) do not. ok is false when a
@@ -132,7 +132,7 @@ func (e *Env) PlacementSignature(nodes []int) (Sig, bool) {
 			return s, false
 		}
 		seen[node>>6] |= bit
-		g := f.EndpointGroup(f.NodeEndpoint(node, 0))
+		g := f.NodeGroup(node)
 		if g < 0 || g >= len(labels) {
 			return s, false
 		}
@@ -173,6 +173,19 @@ type pricedProgram struct {
 	setupSum, loopSum     units.Seconds
 }
 
+// total is a Bound's Total for p: setup plus p.Iterations loop passes,
+// the one expression every cold bind, hit and estimate evaluates.
+func (pr *pricedProgram) total(p *Program) units.Seconds {
+	return pr.setupSum + units.Seconds(p.Iterations)*pr.loopSum
+}
+
+// spreadKey names one nominal spread placement: its shape depends only
+// on the machine and the node count.
+type spreadKey struct {
+	env   string
+	nodes int
+}
+
 // PricingCache memoizes Bind's per-phase pricing keyed by (program
 // signature, placement signature, machine hash). A hit rebuilds the
 // Bound from the stored times without constructing an mpi.Comm; the
@@ -180,6 +193,13 @@ type pricedProgram struct {
 // a cold Bind's values and Total is recomputed with the same
 // expression. Safe for concurrent use; a nil *PricingCache is a valid
 // always-miss cache.
+//
+// The cache also memoizes the PlacementSignature of each nominal spread
+// placement Estimate quotes against, keyed by (CacheKey, node count).
+// The memo holds the real signature, not a stand-in, so an estimate and
+// a granted placement of the same shape meet on one entry; it is not a
+// pricing lookup and moves neither counter. It holds one signature per
+// node count a machine has been asked to estimate, and is never evicted.
 type PricingCache struct {
 	mu      sync.Mutex
 	max     int
@@ -187,6 +207,7 @@ type PricingCache struct {
 	lru     list.List // of cacheSlot, front = most recent
 	hits    uint64
 	misses  uint64
+	spread  map[spreadKey]Sig // made by the first estimate
 }
 
 type cacheSlot struct {
@@ -204,6 +225,30 @@ func NewPricingCache(maxEntries int) *PricingCache {
 		max:     maxEntries,
 		entries: make(map[pricingKey]*list.Element),
 	}
+}
+
+// spreadSignature returns e.PlacementSignature(e.SpreadPlacement(n)),
+// computed once per (e.CacheKey, n). ok is false when the placement has
+// no signature; nothing is memoized then. The signature is hashed
+// outside the lock: racing callers compute the same value.
+func (c *PricingCache) spreadSignature(e *Env, n int) (Sig, bool) {
+	k := spreadKey{env: e.CacheKey, nodes: n}
+	c.mu.Lock()
+	s, ok := c.spread[k]
+	c.mu.Unlock()
+	if ok {
+		return s, true
+	}
+	if s, ok = e.PlacementSignature(e.SpreadPlacement(n)); !ok {
+		return s, false
+	}
+	c.mu.Lock()
+	if c.spread == nil {
+		c.spread = make(map[spreadKey]Sig)
+	}
+	c.spread[k] = s
+	c.mu.Unlock()
+	return s, true
 }
 
 // lookup returns the priced program for a key, if present.

@@ -3,7 +3,10 @@ package job_test
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"frontiersim/internal/job"
 	"frontiersim/internal/machine"
 	"frontiersim/internal/units"
+	"frontiersim/internal/workload"
 )
 
 // richProgram exercises every phase kind pricing touches: roofline
@@ -269,6 +273,10 @@ func TestPricingCacheConcurrent(t *testing.T) {
 	for i, nodes := range placements {
 		want[i] = bindOrFatal(t, coldEnv, p, nodes).Total
 	}
+	wantEst, err := coldEnv.Estimate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -283,6 +291,10 @@ func TestPricingCacheConcurrent(t *testing.T) {
 				}
 				if b.Total != want[i%len(placements)] {
 					t.Errorf("concurrent bind diverged on %v", nodes)
+					return
+				}
+				if est, err := env.Estimate(p); err != nil || est != wantEst {
+					t.Errorf("concurrent estimate = %v, %v; want %v", est, err, wantEst)
 					return
 				}
 			}
@@ -365,5 +377,323 @@ func TestPlacementSignatureAllocsIndependentOfSize(t *testing.T) {
 	}
 	if small, large := allocs(16), allocs(9000); small != large {
 		t.Errorf("PlacementSignature allocs/op: %v for 16 nodes, %v for 9000 nodes", small, large)
+	}
+}
+
+// yearEnv is a 256-node machine (8 groups of 32 nodes) with the
+// year-campaign program mix built for it.
+func yearEnv(t testing.TB) (*job.Env, []workload.JobClass) {
+	t.Helper()
+	spec := machine.Scaled(8, 16, 8)
+	f, err := spec.NewFabric()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := spec.JobEnv(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, workload.YearMix(spec.Platform(), spec.NodeModel())
+}
+
+// yearPrograms builds every year-mix program at each power-of-two node
+// count and a few iteration counts; shapes a class cannot build at a
+// size are skipped.
+func yearPrograms(t testing.TB, env *job.Env, mix []workload.JobClass) []*job.Program {
+	t.Helper()
+	var progs []*job.Program
+	for _, c := range mix {
+		for n := 1; n <= env.Fabric.Cfg.ComputeNodes(); n *= 2 {
+			for _, iters := range []int{1, 8, 1024} {
+				if p, err := c.ProgramFor(n, iters); err == nil {
+					progs = append(progs, p)
+				}
+			}
+		}
+	}
+	if len(progs) < 20 {
+		t.Fatalf("year mix built only %d programs", len(progs))
+	}
+	return progs
+}
+
+// bindEstimate is Estimate as a Bind on the nominal spread placement,
+// the form it took before the spread signature was memoized. It makes
+// the same single lookup, so it is the reference for hits and misses.
+func bindEstimate(env *job.Env, p *job.Program) (units.Seconds, error) {
+	b, err := env.Bind(p, env.SpreadPlacement(p.Nodes))
+	if err != nil {
+		return 0, err
+	}
+	return b.Total, nil
+}
+
+// A cached Estimate equals an uncached one bit for bit, on the first
+// (miss) and second (hit) call alike, and each call moves the cache's
+// counters by exactly one lookup.
+func TestEstimateCachedMatchesUncached(t *testing.T) {
+	cold, mix := yearEnv(t)
+	warm := *cold
+	warm.Cache, warm.CacheKey = job.NewPricingCache(0), "year"
+	for _, p := range yearPrograms(t, cold, mix) {
+		want, err := cold.Estimate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			h0, m0 := warm.Cache.Stats()
+			got, err := warm.Estimate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Fatalf("%s %d nodes x%d pass %d: cached estimate %v, uncached %v",
+					p.Name, p.Nodes, p.Iterations, pass, got, want)
+			}
+			h1, m1 := warm.Cache.Stats()
+			if (h1-h0)+(m1-m0) != 1 {
+				t.Fatalf("%s %d nodes pass %d: estimate moved hits by %d and misses by %d",
+					p.Name, p.Nodes, pass, h1-h0, m1-m0)
+			}
+			if pass == 1 && h1 != h0+1 {
+				t.Fatalf("%s %d nodes: repeated estimate missed", p.Name, p.Nodes)
+			}
+		}
+	}
+}
+
+// The memo keeps the spread placement's real signature, so a granted
+// placement of the same shape hits the entry Estimate stored: the
+// spread placement itself, and one on other nodes of the same groups.
+func TestEstimateEntryServesSpreadShapedBind(t *testing.T) {
+	env, mix := yearEnv(t)
+	env.Cache, env.CacheKey = job.NewPricingCache(0), "year"
+	f := env.Fabric
+	total := f.Cfg.ComputeNodes()
+	checked := 0
+	for _, p := range yearPrograms(t, env, mix) {
+		est, err := env.Estimate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spread := env.SpreadPlacement(p.Nodes)
+		granted := [][]int{spread}
+		if total/p.Nodes >= 2 {
+			// Each spread node's successor is in the same group here,
+			// and no other spread node sits between them.
+			moved := make([]int, len(spread))
+			for i, n := range spread {
+				moved[i] = n + 1
+				if f.NodeGroup(n+1) != f.NodeGroup(n) {
+					moved = nil
+					break
+				}
+			}
+			if moved != nil {
+				granted = append(granted, moved)
+			}
+		}
+		for _, nodes := range granted {
+			h0, m0 := env.Cache.Stats()
+			b := bindOrFatal(t, env, p, nodes)
+			if h1, m1 := env.Cache.Stats(); h1 != h0+1 || m1 != m0 {
+				t.Fatalf("%s %d nodes on %v: bind after estimate moved hits %d, misses %d; want one hit",
+					p.Name, p.Nodes, nodes[:min(len(nodes), 4)], h1-h0, m1-m0)
+			}
+			if b.Total != est {
+				t.Fatalf("%s %d nodes: bind total %v, estimate %v", p.Name, p.Nodes, b.Total, est)
+			}
+			checked++
+		}
+	}
+	if checked < 40 {
+		t.Errorf("only %d spread-shaped binds checked", checked)
+	}
+}
+
+// On a bounded LRU, memoized estimates and binds produce the same
+// hit/miss sequence, the same evictions and the same totals as
+// estimates made as binds on the spread placement.
+func TestEstimateLRUSequenceMatchesBindEstimate(t *testing.T) {
+	base, mix := yearEnv(t)
+	progs := yearPrograms(t, base, mix)
+	newEnv, refEnv := *base, *base
+	newEnv.Cache, newEnv.CacheKey = job.NewPricingCache(4), "year"
+	refEnv.Cache, refEnv.CacheKey = job.NewPricingCache(4), "year"
+	total := base.Fabric.Cfg.ComputeNodes()
+	rng := rand.New(rand.NewSource(16))
+	outcome := func(c *job.PricingCache, h0, m0 uint64) string {
+		h1, m1 := c.Stats()
+		return fmt.Sprintf("+%d/+%d", h1-h0, m1-m0)
+	}
+	hits := 0
+	for i := 0; i < 600; i++ {
+		// A small working set of programs, so the 4-entry LRU both hits
+		// and evicts.
+		p := progs[rng.Intn(8)*len(progs)/8]
+		var got, want units.Seconds
+		var errGot, errWant error
+		hn, mn := newEnv.Cache.Stats()
+		hr, mr := refEnv.Cache.Stats()
+		if rng.Intn(3) > 0 {
+			got, errGot = newEnv.Estimate(p)
+			want, errWant = bindEstimate(&refEnv, p)
+		} else {
+			nodes := rng.Perm(total)[:p.Nodes]
+			if rng.Intn(2) == 0 {
+				nodes = base.SpreadPlacement(p.Nodes)
+			}
+			bn, err := newEnv.Bind(p, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br, err := refEnv.Bind(p, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want = bn.Total, br.Total
+		}
+		if errGot != nil || errWant != nil {
+			t.Fatalf("step %d: errors %v / %v", i, errGot, errWant)
+		}
+		on, or := outcome(newEnv.Cache, hn, mn), outcome(refEnv.Cache, hr, mr)
+		if on != or || got != want || newEnv.Cache.Len() != refEnv.Cache.Len() {
+			t.Fatalf("step %d (%s, %d nodes): outcome %s total %v len %d; reference %s total %v len %d",
+				i, p.Name, p.Nodes, on, got, newEnv.Cache.Len(), or, want, refEnv.Cache.Len())
+		}
+		if on == "+1/+0" {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Error("the sequence never hit; it proved nothing about LRU order")
+	}
+	hn, mn := newEnv.Cache.Stats()
+	hr, mr := refEnv.Cache.Stats()
+	if hn != hr || mn != mr {
+		t.Errorf("final stats %d/%d, reference %d/%d", hn, mn, hr, mr)
+	}
+}
+
+// Two machines sharing one cache under different CacheKeys keep their
+// own spread signatures. The two fabrics below spread a 4-node job over
+// different group layouts (one node per group, two per group), so a
+// memo shared between them would key each estimate by the wrong shape,
+// and the granted spread placement would miss.
+func TestEstimateSpreadMemoPerMachine(t *testing.T) {
+	cache := job.NewPricingCache(0)
+	envs := make([]*job.Env, 2)
+	for i, spec := range []machine.Spec{machine.Scaled(4, 4, 4), machine.Scaled(2, 8, 4)} {
+		f, err := spec.NewFabric()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := spec.JobEnv(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Cache, env.CacheKey = cache, fmt.Sprintf("machine-%d", i)
+		envs[i] = env
+	}
+	a, b := envs[0], envs[1]
+	sa, _ := a.PlacementSignature(a.SpreadPlacement(4))
+	sb, _ := b.PlacementSignature(b.SpreadPlacement(4))
+	if sa == sb {
+		t.Fatal("fixture: the two machines spread 4 nodes to the same shape")
+	}
+	p := richProgram(a, 4, 3)
+	for _, env := range envs {
+		cold := *env
+		cold.Cache = nil
+		want, err := cold.Estimate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if got, err := env.Estimate(p); err != nil || got != want {
+				t.Fatalf("%s pass %d: estimate %v, %v; uncached %v", env.CacheKey, pass, got, err, want)
+			}
+		}
+		h0, _ := cache.Stats()
+		bindOrFatal(t, env, p, env.SpreadPlacement(4))
+		if h1, _ := cache.Stats(); h1 != h0+1 {
+			t.Errorf("%s: granted spread placement missed the entry its estimate stored", env.CacheKey)
+		}
+	}
+	if hits, misses := cache.Stats(); hits != 4 || misses != 2 {
+		t.Errorf("hits/misses = %d/%d, want 4/2", hits, misses)
+	}
+}
+
+// Estimate keeps its error order: the env, then the machine's node
+// count, then the program.
+func TestEstimateErrorOrder(t *testing.T) {
+	env := testEnv(t)
+	env.Cache = job.NewPricingCache(0)
+	var nilEnv *job.Env
+	if _, err := nilEnv.Estimate(richProgram(env, 2, 1)); err == nil {
+		t.Error("nil env accepted")
+	}
+	huge := richProgram(env, 1<<20, 1)
+	huge.Name = ""
+	if _, err := env.Estimate(huge); err == nil || !strings.Contains(err.Error(), "machine has") {
+		t.Errorf("oversized invalid program: %v, want the node-count error first", err)
+	}
+	bad := richProgram(env, 2, 1)
+	bad.Name = ""
+	if _, err := env.Estimate(bad); err == nil || !strings.Contains(err.Error(), "needs a name") {
+		t.Errorf("invalid program: %v, want the program's own error", err)
+	}
+	neg := richProgram(env, 2, 1)
+	neg.Nodes = -3
+	if _, err := env.Estimate(neg); err == nil {
+		t.Error("negative node count accepted")
+	}
+	if h, m := env.Cache.Stats(); h+m != 0 {
+		t.Errorf("rejected estimates reached the cache: %d hits, %d misses", h, m)
+	}
+}
+
+// BenchmarkEnvEstimate prices the largest year-mix programs on the full
+// Frontier: "hit" on a warm pricing cache, "cold" without one (a spread
+// placement, a communicator and every phase priced per call).
+func BenchmarkEnvEstimate(b *testing.B) {
+	spec := machine.Frontier()
+	f, err := spec.NewFabric()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cold, err := spec.JobEnv(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var progs []*job.Program
+	for _, c := range workload.YearMix(spec.Platform(), spec.NodeModel()) {
+		if p, err := c.ProgramFor(8192, 64); err == nil {
+			progs = append(progs, p)
+		}
+	}
+	if len(progs) == 0 {
+		b.Fatal("no year-mix program builds at 8192 nodes")
+	}
+	warm := *cold
+	warm.Cache, warm.CacheKey = job.NewPricingCache(0), "frontier"
+	for _, p := range progs {
+		if _, err := warm.Estimate(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		env  *job.Env
+	}{{"hit", &warm}, {"cold", cold}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.env.Estimate(progs[i%len(progs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -281,6 +281,33 @@ func (c *Comm) SplitOne(color func(rank int) int, col int) (*Comm, error) {
 	return sub, nil
 }
 
+// RankGroup builds the sub-communicator of ranks 0, stride, 2·stride,
+// …, taking at most n of them and none past Size. It is SplitOne(color,
+// 0) for the two colorings pricing uses — r/n for a block of n ranks
+// (stride 1), r%stride for a strided group (n >= Size/stride) — with the
+// same node order, PPN and NewComm validation, but it visits only the
+// chosen ranks instead of calling a color function on every rank. It
+// returns nil when no rank is chosen.
+func (c *Comm) RankGroup(stride, n int) (*Comm, error) {
+	if stride < 1 {
+		return nil, fmt.Errorf("mpi: rank group stride %d < 1", stride)
+	}
+	nodes := make([]int, 0, min(n, (c.Size()+stride-1)/stride, len(c.Nodes)))
+	for i, r := 0, 0; i < n && r < c.Size(); i, r = i+1, r+stride {
+		if nd := c.NodeOf(r); len(nodes) == 0 || nodes[len(nodes)-1] != nd {
+			nodes = append(nodes, nd)
+		}
+	}
+	if len(nodes) == 0 {
+		return nil, nil
+	}
+	sub, err := NewComm(c.F, nodes, c.PPN)
+	if err != nil {
+		return nil, fmt.Errorf("mpi: rank group %dx%d: %w", n, stride, err)
+	}
+	return sub, nil
+}
+
 // AllGather models an allgather of b bytes contributed per rank: ring
 // collection, each rank ends with P*b bytes.
 func (c *Comm) AllGather(b units.Bytes) units.Seconds {

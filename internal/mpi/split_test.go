@@ -131,3 +131,58 @@ func TestNewCommAllocsIndependentOfSize(t *testing.T) {
 		t.Errorf("NewComm allocs/op: %v for 16 nodes, %v for 9000 nodes", small, large)
 	}
 }
+
+// RankGroup walks only the rank-0 subgroup's ranks. For a block of k
+// ranks (stride 1) and for every k-th rank (stride k) it must build the
+// communicator SplitOne(color, 0) and Split(color)[0] build, on
+// placements whose rank order does not follow node order.
+func TestRankGroupMatchesSplit(t *testing.T) {
+	f := testFabric(t)
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 60; trial++ {
+		c, err := NewComm(f, randomPlacement(rng, f, 1+rng.Intn(48)), 1+rng.Intn(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 1 + rng.Intn(c.Size())
+		cases := []struct {
+			name      string
+			stride, n int
+			color     func(int) int
+		}{
+			{"block", 1, k, func(r int) int { return r / k }},
+			{"stride", k, c.Size(), func(r int) int { return r % k }},
+		}
+		for _, tc := range cases {
+			got, err := c.RankGroup(tc.stride, tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := c.SplitOne(tc.color, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := c.Split(tc.color)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []*Comm{one, all[0]} {
+				if !slices.Equal(got.Nodes, want.Nodes) || got.PPN != want.PPN || got.GroupsSpanned() != want.GroupsSpanned() {
+					t.Fatalf("trial %d %s/%d: RankGroup %v ppn %d groups %d, split %v ppn %d groups %d",
+						trial, tc.name, k, got.Nodes, got.PPN, got.GroupsSpanned(), want.Nodes, want.PPN, want.GroupsSpanned())
+				}
+			}
+		}
+	}
+
+	c, err := NewComm(f, []int{3, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub, err := c.RankGroup(1, 0); sub != nil || err != nil {
+		t.Errorf("empty rank group = %v, %v; want nil, nil", sub, err)
+	}
+	if _, err := c.RankGroup(0, 2); err == nil {
+		t.Error("stride 0 accepted")
+	}
+}

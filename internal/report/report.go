@@ -34,6 +34,26 @@ func (r Row) Deviation() float64 {
 	return r.MeasuredVal/r.PaperVal - 1
 }
 
+// Bound reports whether the row states a bound rather than a point
+// value, and if so whether the measured value keeps it. A bound row's
+// Paper text begins with "<" (an upper bound, "<= 1.0", "<20 MW/EF") or
+// ">" (a lower bound), and both values are non-zero; the bound holds
+// when MeasuredVal is on PaperVal's side of it, equality included. The
+// relative deviation of such a row measures nothing, so envelope checks
+// leave it out and check the bound instead.
+func (r Row) Bound() (bound, holds bool) {
+	if r.PaperVal == 0 || r.MeasuredVal == 0 {
+		return false, false
+	}
+	switch paper := strings.TrimSpace(r.Paper); {
+	case strings.HasPrefix(paper, "<"):
+		return true, r.MeasuredVal <= r.PaperVal
+	case strings.HasPrefix(paper, ">"):
+		return true, r.MeasuredVal >= r.PaperVal
+	}
+	return false, false
+}
+
 // Table is one reproduced artifact.
 type Table struct {
 	ID    string // e.g. "table3", "fig6"
@@ -54,15 +74,34 @@ func (t *Table) AddInfo(name, measured, note string) {
 	t.Rows = append(t.Rows, Row{Name: name, Measured: measured, Note: note})
 }
 
-// MaxAbsDeviation returns the largest |deviation| across comparable rows.
+// MaxAbsDeviation returns the largest |deviation| across comparable
+// rows. Bound rows are not point values and are left out; Bounds checks
+// them.
 func (t *Table) MaxAbsDeviation() float64 {
 	worst := 0.0
 	for _, r := range t.Rows {
+		if bound, _ := r.Bound(); bound {
+			continue
+		}
 		if d := math.Abs(r.Deviation()); !math.IsNaN(d) && d > worst {
 			worst = d
 		}
 	}
 	return worst
+}
+
+// Bounds counts the table's bound rows and names those whose bound is
+// broken.
+func (t *Table) Bounds() (n int, broken []string) {
+	for _, r := range t.Rows {
+		if bound, holds := r.Bound(); bound {
+			n++
+			if !holds {
+				broken = append(broken, r.Name)
+			}
+		}
+	}
+	return n, broken
 }
 
 // Render writes the table as aligned text.

@@ -76,3 +76,46 @@ func TestFormatters(t *testing.T) {
 		t.Errorf("F(52.3) = %q", F(52.3))
 	}
 }
+
+// Bound rows follow the envelope check's rule: a "<" or ">" paper
+// prefix with both values set is a bound, checked against PaperVal and
+// left out of MaxAbsDeviation; anything else is a point row.
+func TestBoundRows(t *testing.T) {
+	cases := []struct {
+		row          Row
+		bound, holds bool
+	}{
+		{Row{Paper: "<= 1.0 (margin 1.25x)", PaperVal: 1, MeasuredVal: 0.44}, true, true},
+		{Row{Paper: "<= 1.0", PaperVal: 1, MeasuredVal: 1}, true, true},
+		{Row{Paper: "<= 1.0", PaperVal: 1, MeasuredVal: 1.2}, true, false},
+		{Row{Paper: " <20 MW/EF", PaperVal: 20, MeasuredVal: 18.8}, true, true},
+		{Row{Paper: ">1x", PaperVal: 1, MeasuredVal: 2.7}, true, true},
+		{Row{Paper: ">= 4x", PaperVal: 4, MeasuredVal: 3}, true, false},
+		{Row{Paper: ">1x", PaperVal: 0, MeasuredVal: 2.7}, false, false},
+		{Row{Paper: "<= 1.0", PaperVal: 1, MeasuredVal: 0}, false, false},
+		{Row{Paper: "~14 PF", PaperVal: 14, MeasuredVal: 13.6}, false, false},
+		{Row{Paper: "1.1 EF", PaperVal: 1.1, MeasuredVal: 1.12}, false, false},
+	}
+	for _, c := range cases {
+		if bound, holds := c.row.Bound(); bound != c.bound || holds != c.holds {
+			t.Errorf("%q %v vs %v: Bound() = %v, %v; want %v, %v",
+				c.row.Paper, c.row.MeasuredVal, c.row.PaperVal, bound, holds, c.bound, c.holds)
+		}
+	}
+
+	tab := &Table{}
+	tab.Add("point", "100", "", 100, 103, "")
+	tab.Add("upper", "<= 1.0", "", 1, 0.44, "")
+	tab.Add("lower", ">= 2", "", 2, 1.5, "")
+	if d := tab.MaxAbsDeviation(); math.Abs(d-0.03) > 1e-12 {
+		t.Errorf("max deviation = %v, want 0.03 from the point row alone", d)
+	}
+	if n, broken := tab.Bounds(); n != 2 || len(broken) != 1 || broken[0] != "lower" {
+		t.Errorf("Bounds() = %d, %v; want 2, [lower]", n, broken)
+	}
+	var buf bytes.Buffer
+	tab.Render(&buf)
+	if !strings.Contains(buf.String(), "-56.0%") {
+		t.Errorf("render dropped the bound row's deviation column:\n%s", buf.String())
+	}
+}
